@@ -143,8 +143,10 @@ def _dims_by_weight(n: int, wmax: int, dim: int) -> list[tuple[int, int]]:
 
 def _cmd_check(args) -> int:
     universe = None
-    if args.nmax or args.wmax:
-        universe = Universe(args.nmax or 3, args.wmax or 3)
+    if args.nmax is not None or args.wmax is not None:
+        universe = Universe(
+            3 if args.nmax is None else args.nmax, 3 if args.wmax is None else args.wmax
+        )
     reports = run_suite(args.suite, universe, weight_bound=args.weight_bound)
     if args.json:
         print(reports_to_json(reports))
@@ -152,6 +154,16 @@ def _cmd_check(args) -> int:
         for report in reports:
             print(report.summary())
     return 0 if all(r.ok for r in reports) else 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("dims", help="basis counts for n-vertex components")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_positive_int, required=True)
     p.add_argument("--wmax", type=int, help="also tabulate counts by total weight")
     add_json(p)
     p.set_defaults(handler=_cmd_dims)
@@ -238,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["all", "assoc", "deform", "spec", "iso", "morph"],
     )
-    p.add_argument("--nmax", type=int, help="universe vertex bound")
-    p.add_argument("--wmax", type=int, help="universe weight bound")
+    p.add_argument("--nmax", type=_positive_int, help="universe vertex bound")
+    p.add_argument("--wmax", type=_positive_int, help="universe weight bound")
     p.add_argument("--weight-bound", type=int, default=5, help="morphism truncation bound")
     add_json(p)
     p.set_defaults(handler=_cmd_check)

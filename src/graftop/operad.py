@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .algebra import Fraction, LambdaPoly, TreeCombination, monomial
+from .algebra import Fraction, TreeCombination, monomial
 from .errors import TreeError
 from .trees import UNLABELED, VertexRef, WeightedTree, _owned, relabel
 
@@ -77,41 +77,39 @@ def iter_graft_maps(S: WeightedTree, v: VertexRef, T: WeightedTree) -> Iterator[
         yield GraftMap(targets)
 
 
-def _adjacency(tree: WeightedTree) -> dict:
-    adj = {}
-
-    def walk(node, parent):
-        adj[node.label] = (node.weight, parent)
-        for c in node.children:
-            walk(c, node.label)
-
-    walk(tree, None)
-    return adj
+def _replace_at(node: WeightedTree, path: tuple, new: WeightedTree) -> WeightedTree:
+    """``node`` with its vertex at ``path`` replaced by the subtree ``new``;
+    only the vertices along the path are rebuilt."""
+    if not path:
+        return new
+    kids = list(node.children)
+    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new)
+    return WeightedTree(node.label, node.weight, tuple(kids))
 
 
-def _build(adj: dict) -> WeightedTree:
-    kids: dict[str, list[str]] = {lab: [] for lab in adj}
-    root = None
-    for lab, (_, parent) in adj.items():
-        if parent is None:
-            root = lab
+def _hang(node: WeightedTree, hung) -> WeightedTree:
+    """``node`` with each ``(path, branch)`` of ``hung`` attached as a new
+    child of the vertex at ``path``; only the ancestors of those vertices
+    are rebuilt."""
+    if not hung:
+        return node
+    here = []
+    below: dict[int, list] = {}
+    for path, branch in hung:
+        if path:
+            below.setdefault(path[0], []).append((path[1:], branch))
         else:
-            kids[parent].append(lab)
+            here.append(branch)
+    kids = list(node.children)
+    for i, items in below.items():
+        kids[i] = _hang(kids[i], items)
+    return WeightedTree(node.label, node.weight, tuple(kids) + tuple(here))
 
-    def make(lab):
-        return WeightedTree(lab, adj[lab][0], tuple(make(c) for c in kids[lab]))
 
-    return make(root)
-
-
-def _surgery(s_adj, v_label, t_adj, branch_labels, target_labels) -> WeightedTree:
-    v_parent = s_adj[v_label][1]
-    merged = {lab: wp for lab, wp in s_adj.items() if lab != v_label}
-    for lab, (w, parent) in t_adj.items():
-        merged[lab] = (w, parent if parent is not None else v_parent)
-    for branch, target in zip(branch_labels, target_labels):
-        merged[branch] = (merged[branch][0], target)
-    return _build(merged)
+def _substitute(S: WeightedTree, v: VertexRef, T: WeightedTree, target_paths) -> WeightedTree:
+    """T in place of vertex v of S, the i-th child branch of v hung below
+    the vertex of T at ``target_paths[i]``; see ``compose_with_map``."""
+    return _replace_at(S, v.path, _hang(T, tuple(zip(target_paths, v.node.children))))
 
 
 def _check_compose_args(S: WeightedTree, v: VertexRef, T: WeightedTree) -> None:
@@ -130,20 +128,18 @@ def compose_with_map(
     the vertex of T chosen by f.
 
     T's root inherits v's parent edge (or becomes the root when v was the
-    root); the result has S.size + T.size - 1 vertices.
+    root); the result has S.size + T.size - 1 vertices.  Only the root-to-v
+    spine of S and the ancestors of the targets in T are new trees; every
+    other subtree, the moved branches included, is shared with S and T.
     """
     _check_compose_args(S, v, T)
-    branch_labels = [c.label for c in v.node.children]
-    if len(f.targets) != len(branch_labels):
-        raise TreeError(
-            f"graft map has {len(f.targets)} targets for {len(branch_labels)} edges"
-        )
+    n_edges = len(v.node.children)
+    if len(f.targets) != n_edges:
+        raise TreeError(f"graft map has {len(f.targets)} targets for {n_edges} edges")
     for r in f.targets:
         if r.tree != T:
             raise TreeError("graft map target does not belong to the inserted tree")
-    return _surgery(
-        _adjacency(S), v.label, _adjacency(T), branch_labels, [r.label for r in f.targets]
-    )
+    return _substitute(S, v, T, [r.path for r in f.targets])
 
 
 def compose_lambda(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombination:
@@ -152,31 +148,27 @@ def compose_lambda(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombin
     Zero when T's total weight differs from v's weight.  Otherwise one
     term per reattachment map; the term for map f carries coefficient
     L**(d_f - d_min) where d_f is the potential energy of the f-tree and
-    d_min that of the all-at-the-root tree, which is the minimum.
+    d_min that of the all-at-the-root tree, which is the minimum.  That
+    excess is computed in closed form as the sum, over the child branches
+    of v, of the height in T of the branch's target times the branch's
+    total weight.  The terms share every subtree that the substitution
+    leaves unchanged with S, T and each other (see ``compose_with_map``).
     """
     _check_compose_args(S, v, T)
     if T.total_weight != v.weight:
         return TreeCombination.zero()
-    s_adj = _adjacency(S)
-    t_adj = _adjacency(T)
-    branch_labels = [c.label for c in v.node.children]
-    base = _surgery(s_adj, v.label, t_adj, branch_labels, [T.label] * len(branch_labels))
-    if not branch_labels:
-        return TreeCombination._raw({base: LambdaPoly.one()})
-    d0 = base.energy
-    acc: dict[WeightedTree, LambdaPoly] = {}
-    t_labels = list(t_adj)
-    for targets in itertools.product(t_labels, repeat=len(branch_labels)):
-        tree = _surgery(s_adj, v.label, t_adj, branch_labels, targets)
-        exp = tree.energy - d0
-        if exp < 0:
-            raise TreeError(
-                "reattachment produced potential energy below the root-map minimum"
+    weights = [c.total_weight for c in v.node.children]
+    paths = [r.path for r in T.vertices()]
+    # Distinct maps give each moved branch root a distinct parent label, so
+    # the terms never collide.
+    return TreeCombination._raw(
+        {
+            _substitute(S, v, T, targets): monomial(
+                sum(len(p) * w for p, w in zip(targets, weights))
             )
-        poly = monomial(exp)
-        prev = acc.get(tree)
-        acc[tree] = poly if prev is None else prev + poly
-    return TreeCombination._raw(acc)
+            for targets in itertools.product(paths, repeat=len(weights))
+        }
+    )
 
 
 def _as_combination(x) -> TreeCombination:
@@ -286,15 +278,7 @@ def graft_at(T: WeightedTree, v: VertexRef, S: WeightedTree) -> WeightedTree:
         raise TreeError("cannot graft across labeled and unlabeled trees")
     if T.is_labeled and T.labels & S.labels:
         raise TreeError(f"label clash when grafting: {sorted(T.labels & S.labels)}")
-
-    def rebuild(node, path):
-        if not path:
-            return WeightedTree(node.label, node.weight, node.children + (S,))
-        kids = list(node.children)
-        kids[path[0]] = rebuild(kids[path[0]], path[1:])
-        return WeightedTree(node.label, node.weight, tuple(kids))
-
-    return rebuild(T, v.path)
+    return _hang(T, ((v.path, S),))
 
 
 def arrow_lambda(x, y) -> TreeCombination:

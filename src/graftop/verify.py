@@ -108,7 +108,8 @@ class CheckReport:
 
     @property
     def ok(self) -> bool:
-        return self.failure_count == 0
+        """Passed: at least one instance ran and none failed."""
+        return self.instances > 0 and self.failure_count == 0
 
     def to_json(self) -> dict:
         return {

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from graftop.cli import main
 
 
@@ -117,6 +119,36 @@ def test_dims_by_total_weight(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "2"
     assert lines[1:] == ["total=2 dim=2", "total=3 dim=4", "total=4 dim=2"]
+
+
+def rejected(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_dims_rejects_nonpositive_n(capsys):
+    code, err = rejected(capsys, "dims", "-n", "0")
+    assert code == 2
+    assert "must be >= 1" in err and "Traceback" not in err
+
+
+def test_check_rejects_zero_wmax(capsys):
+    code, err = rejected(capsys, "check", "--suite", "iso", "--wmax", "0")
+    assert code == 2
+    assert "--wmax" in err and "must be >= 1" in err
+
+
+def test_check_rejects_negative_nmax(capsys):
+    code, err = rejected(capsys, "check", "--suite", "iso", "--nmax", "-1")
+    assert code == 2
+    assert "--nmax" in err and "must be >= 1" in err
+
+
+def test_check_with_zero_instances_fails(capsys):
+    code, out, _ = run(capsys, "check", "--suite", "assoc", "--nmax", "1")
+    assert code == 1
+    assert "FAIL disjoint-associativity: 0 instances" in out
 
 
 def test_parse_error_exits_2_with_position(capsys):

@@ -57,6 +57,17 @@ def test_compose_leaf_replacement():
     assert out == parse_tree("a:1[e:2[h:1]]")
 
 
+def test_compose_with_map_shares_unchanged_subtrees():
+    S = parse_tree("r:1[v:4[c:2,d:1],z:2[y:1]]")
+    T = parse_tree("e:1[h:1,k:1[m:1]]")
+    v = S.ref("v")
+    out = compose_with_map(S, v, T, GraftMap.from_labels(S, v, T, {"c": "h", "d": "e"}))
+    assert out == parse_tree("r:1[e:1[d:1,h:1[c:2],k:1[m:1]],z:2[y:1]]")
+    for label in ("c", "d", "z"):
+        assert out.ref(label).node is S.ref(label).node
+    assert out.ref("k").node is T.ref("k").node
+
+
 def test_compose_with_map_reference_instance():
     f = GraftMap.from_labels(S_EX, S_EX.ref("b"), T_EX, {"c": "h", "d": "h"})
     out = compose_with_map(S_EX, S_EX.ref("b"), T_EX, f)
@@ -143,6 +154,37 @@ def test_exponent_formula_on_four_vertex_hosts():
     for f in iter_graft_maps(S, v, T):
         tree = compose_with_map(S, v, T, f)
         assert combo.coefficient(tree) == mono(exponent_formula(S, v, T, f))
+
+
+def _oracle_compose_cases():
+    uni = Universe(3, 3)
+    ts = {}
+    for t in uni.trees("t"):
+        ts.setdefault(t.total_weight, []).append(t)
+    for S in uni.trees("s"):
+        for v in S.vertices():
+            for T in ts.get(v.weight, ()):
+                yield S, v, T
+    # five branches into a five-vertex tree, three into a seven-vertex one
+    S = parse_tree("r:1[v:6[b1:1,b2:2,b3:1[b6:1],b4:3,b5:1],z:2]")
+    yield S, S.ref("v"), parse_tree("t1:1[t2:1[t3:2],t4:1[t5:1]]")
+    S = parse_tree("r:2[q:1[v:10[b1:2,b2:1[b4:3],b3:1]],z:1]")
+    yield S, S.ref("v"), parse_tree("t1:1[t2:2[t3:1[t4:1]],t5:1[t6:3,t7:1]]")
+
+
+def test_compose_matches_parent_map_oracle_and_constructor_energies():
+    # Terms come from the parent-map oracle and exponents from energies the
+    # tree constructor computes, not from the closed form compose_lambda uses.
+    cases = 0
+    for S, v, T in _oracle_compose_cases():
+        combo = compose_lambda(S, v, T)
+        terms = oracle_compose_terms(S, v.label, T)
+        assert combo.support() == set(terms)
+        d0 = oracle_compose_root(S, v.label, T).energy
+        for term in terms:
+            assert combo.coefficient(term) == mono(term.energy - d0)
+        cases += 1
+    assert cases > 1000
 
 
 def test_minimality_of_root_map():

@@ -158,3 +158,6 @@ def test_check_report_ok_property():
     assert r.ok and "ok" in r.summary()
     r2 = CheckReport("x", 5, 2, ("S=a:1",), 0.1)
     assert not r2.ok and "FAIL" in r2.summary()
+    # a check that ran no instance has not passed
+    r3 = CheckReport("x", 0, 0, (), 0.1)
+    assert not r3.ok and "FAIL" in r3.summary()
