@@ -18,35 +18,54 @@ from .trees import WeightedTree
 Rational = Fraction
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _as_coeff(x):
+    """An exact coefficient in normal form: an ``int`` when integral,
+    otherwise a ``Fraction``."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _poly(terms: tuple) -> "LambdaPoly":
+    """Wrap an already-normalized sorted term tuple without validation."""
+    out = object.__new__(LambdaPoly)
+    out._terms = terms
+    return out
+
+
+def _sum_terms(a, b) -> tuple:
+    """The sorted term tuple of the sum of two sequences of ``(exp, coeff)``
+    pairs with exact coefficients, normalized and with zero sums pruned."""
+    acc = dict(a)
+    for exp, coeff in b:
+        total = acc.pop(exp, 0) + coeff
+        if type(total) is not int:
+            total = _as_coeff(total)
+        if total:
+            acc[exp] = total
+    return tuple(sorted(acc.items()))
 
 
 class LambdaPoly:
     """Sparse univariate polynomial with exact rational coefficients and
-    nonnegative integer exponents."""
+    nonnegative integer exponents.
+
+    Coefficients are ``int`` whenever they are integral and ``Fraction``
+    only otherwise.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
+        checked = []
         for exp, coeff in items:
             if not isinstance(exp, int) or exp < 0:
                 raise ValueError(f"exponent must be a nonnegative integer, got {exp!r}")
-            c = _as_fraction(coeff)
-            if not c:
-                continue
-            c = acc.get(exp, Fraction(0)) + c
-            if c:
-                acc[exp] = c
-            else:
-                acc.pop(exp, None)
-        self._terms = tuple(sorted(acc.items()))
+            checked.append((exp, _as_coeff(coeff)))
+        self._terms = _sum_terms((), checked)
 
     @classmethod
     def zero(cls) -> "LambdaPoly":
@@ -54,24 +73,24 @@ class LambdaPoly:
 
     @classmethod
     def one(cls) -> "LambdaPoly":
-        return cls(((0, Fraction(1)),))
+        return cls(((0, 1),))
 
     @classmethod
     def constant(cls, value) -> "LambdaPoly":
-        return cls(((0, _as_fraction(value)),))
+        return cls(((0, value),))
 
     @classmethod
     def monomial(cls, exp: int, coeff=1) -> "LambdaPoly":
-        return cls(((exp, _as_fraction(coeff)),))
+        return cls(((exp, coeff),))
 
-    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+    def terms(self) -> tuple[tuple[int, int | Fraction], ...]:
         return self._terms
 
-    def coefficient(self, exp: int) -> Fraction:
+    def coefficient(self, exp: int) -> int | Fraction:
         for e, c in self._terms:
             if e == exp:
                 return c
-        return Fraction(0)
+        return 0
 
     @property
     def degree(self) -> int:
@@ -79,8 +98,11 @@ class LambdaPoly:
         return self._terms[-1][0] if self._terms else -1
 
     def evaluate(self, value) -> Fraction:
-        value = _as_fraction(value)
-        return sum((c * value**e for e, c in self._terms), Fraction(0))
+        return Fraction(self._at(_as_coeff(value)))
+
+    def _at(self, value):
+        """The normalized coefficient at a normalized parameter value."""
+        return _as_coeff(sum(c * value**e for e, c in self._terms))
 
     def __bool__(self):
         return bool(self._terms)
@@ -103,13 +125,13 @@ class LambdaPoly:
         return hash(self._terms)
 
     def __neg__(self):
-        return LambdaPoly(tuple((e, -c) for e, c in self._terms))
+        return _poly(tuple((e, -c) for e, c in self._terms))
 
     def __add__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return LambdaPoly(self._terms + other._terms)
+        return _poly(_sum_terms(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -132,14 +154,11 @@ class LambdaPoly:
         if len(self._terms) == 1 and len(other._terms) == 1:
             (e1, c1), = self._terms
             (e2, c2), = other._terms
-            out = object.__new__(LambdaPoly)
-            out._terms = ((e1 + e2, c1 * c2),)
-            return out
-        acc: dict[int, Fraction] = {}
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                acc[e1 + e2] = acc.get(e1 + e2, Fraction(0)) + c1 * c2
-        return LambdaPoly(acc)
+            c = c1 * c2
+            return _poly(((e1 + e2, c if type(c) is int else _as_coeff(c)),))
+        return _poly(_sum_terms((), [
+            (e1 + e2, c1 * c2) for e1, c1 in self._terms for e2, c2 in other._terms
+        ]))
 
     __rmul__ = __mul__
 
@@ -214,7 +233,7 @@ def parse_poly(text: str) -> LambdaPoly:
         stripped = chunk.strip()
         if not stripped or m is None or (m.group("coeff") is None and "L" not in chunk):
             raise ParseError(f"bad polynomial term {stripped!r}", offset)
-        coeff = Fraction(m.group("coeff").replace(" ", "")) if m.group("coeff") else Fraction(1)
+        coeff = Fraction(m.group("coeff").replace(" ", "")) if m.group("coeff") else 1
         if m.group("neg"):
             coeff = -coeff
         if "L" in chunk:
@@ -231,6 +250,20 @@ def poly_eval(p: LambdaPoly, value) -> Fraction:
     return p.evaluate(value)
 
 
+def accumulate(acc: dict, term, poly: LambdaPoly) -> None:
+    """Add ``poly * term`` into the term dict ``acc`` in place, pruning a
+    term whose coefficient cancels to zero."""
+    prev = acc.get(term)
+    if prev is not None:
+        poly = prev + poly
+        if not poly:
+            del acc[term]
+            return
+    elif not poly:
+        return
+    acc[term] = poly
+
+
 class Combination:
     """Finite formal sum of hashable terms with LambdaPoly coefficients.
 
@@ -245,14 +278,7 @@ class Combination:
         acc: dict = {}
         for term, coeff in items:
             poly = coeff if isinstance(coeff, LambdaPoly) else LambdaPoly.constant(coeff)
-            if not poly:
-                continue
-            prev = acc.get(term)
-            poly = poly if prev is None else prev + poly
-            if poly:
-                acc[term] = poly
-            else:
-                acc.pop(term, None)
+            accumulate(acc, term, poly)
         self._validate(acc)
         self._terms = acc
 
@@ -281,7 +307,7 @@ class Combination:
 
     @classmethod
     def of(cls, term, coeff=1):
-        return cls(((term, coeff if isinstance(coeff, LambdaPoly) else LambdaPoly.constant(coeff)),))
+        return cls(((term, coeff),))
 
     def terms(self) -> list[tuple]:
         return sorted(self._terms.items(), key=lambda kv: self._sort_key(kv[0]))
@@ -305,12 +331,16 @@ class Combination:
         return type(other) is type(self) and self._terms == other._terms
 
     def __neg__(self):
-        return type(self)(tuple((t, -c) for t, c in self._terms.items()))
+        return self._raw({t: -c for t, c in self._terms.items()})
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return type(self)(tuple(self._terms.items()) + tuple(other._terms.items()))
+        acc = dict(self._terms)
+        for term, coeff in other._terms.items():
+            accumulate(acc, term, coeff)
+        self._validate(acc)
+        return self._raw(acc)
 
     def __sub__(self, other):
         if type(other) is not type(self):
@@ -319,7 +349,8 @@ class Combination:
 
     def scale(self, coeff):
         poly = coeff if isinstance(coeff, LambdaPoly) else LambdaPoly.constant(coeff)
-        return type(self)(tuple((t, poly * c) for t, c in self._terms.items()))
+        # exact coefficients have no zero divisors: only a zero factor prunes
+        return self._raw({t: poly * c for t, c in self._terms.items()} if poly else {})
 
     def __rmul__(self, coeff):
         if isinstance(coeff, (int, Fraction, LambdaPoly)):
@@ -333,10 +364,9 @@ class Combination:
 
     def specialize(self, value) -> "Combination":
         """Evaluate every coefficient at a rational parameter value."""
-        return type(self)(
-            tuple((t, LambdaPoly.constant(c.evaluate(value)))
-                  for t, c in self._terms.items())
-        )
+        value = _as_coeff(value)
+        values = ((term, poly._at(value)) for term, poly in self._terms.items())
+        return self._raw({term: _poly(((0, c),)) for term, c in values if c})
 
     def __str__(self):
         if not self._terms:

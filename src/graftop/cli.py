@@ -3,7 +3,8 @@ compositions and products, list basis trees, and drive the verification
 suites.
 
 Exit codes: 0 success (including weight-mismatch compositions, which print
-``0``), 1 verification failure, 2 parse or usage error.
+``0``), 1 verification failure, 2 parse or usage error, 3 unexpected
+internal error (for example a tree nested too deeply to parse).
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="basis counts for n-vertex components")
     p.add_argument("-n", type=_positive_int, required=True)
-    p.add_argument("--wmax", type=int, help="also tabulate counts by total weight")
+    p.add_argument("--wmax", type=_positive_int, help="also tabulate counts by total weight")
     add_json(p)
     p.set_defaults(handler=_cmd_dims)
 
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--nmax", type=_positive_int, help="universe vertex bound")
     p.add_argument("--wmax", type=_positive_int, help="universe weight bound")
-    p.add_argument("--weight-bound", type=int, default=5, help="morphism truncation bound")
+    p.add_argument("--weight-bound", type=_positive_int, default=5, help="morphism truncation bound")
     add_json(p)
     p.set_defaults(handler=_cmd_check)
 
@@ -274,6 +275,9 @@ def main(argv=None) -> int:
         # covers ParseError and TreeError as well
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 run = main

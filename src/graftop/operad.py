@@ -16,9 +16,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .algebra import Fraction, TreeCombination, monomial
+from .algebra import TreeCombination, accumulate, monomial
 from .errors import TreeError
-from .trees import UNLABELED, VertexRef, WeightedTree, _owned, relabel
+from .trees import UNLABELED, VertexRef, WeightedTree, _owned, relabel, reweight
 
 
 def unit(weight: int, label: str = UNLABELED) -> WeightedTree:
@@ -106,10 +106,11 @@ def _hang(node: WeightedTree, hung) -> WeightedTree:
     return WeightedTree(node.label, node.weight, tuple(kids) + tuple(here))
 
 
-def _substitute(S: WeightedTree, v: VertexRef, T: WeightedTree, target_paths) -> WeightedTree:
-    """T in place of vertex v of S, the i-th child branch of v hung below
-    the vertex of T at ``target_paths[i]``; see ``compose_with_map``."""
-    return _replace_at(S, v.path, _hang(T, tuple(zip(target_paths, v.node.children))))
+def _substitute(S: WeightedTree, path, branches, T: WeightedTree, target_paths) -> WeightedTree:
+    """T in place of the vertex of S at ``path``, whose child ``branches``
+    are hung below the vertices of T at ``target_paths``, one each; see
+    ``compose_with_map``."""
+    return _replace_at(S, path, _hang(T, tuple(zip(target_paths, branches))))
 
 
 def _check_compose_args(S: WeightedTree, v: VertexRef, T: WeightedTree) -> None:
@@ -139,7 +140,7 @@ def compose_with_map(
     for r in f.targets:
         if r.tree != T:
             raise TreeError("graft map target does not belong to the inserted tree")
-    return _substitute(S, v, T, [r.path for r in f.targets])
+    return _substitute(S, v.path, v.node.children, T, [r.path for r in f.targets])
 
 
 def compose_lambda(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombination:
@@ -155,15 +156,17 @@ def compose_lambda(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombin
     leaves unchanged with S, T and each other (see ``compose_with_map``).
     """
     _check_compose_args(S, v, T)
-    if T.total_weight != v.weight:
+    node = v.node
+    if T.total_weight != node.weight:
         return TreeCombination.zero()
-    weights = [c.total_weight for c in v.node.children]
-    paths = [r.path for r in T.vertices()]
+    branches = node.children
+    weights = [c.total_weight for c in branches]
+    paths = [path for path, _ in T.walk()]
     # Distinct maps give each moved branch root a distinct parent label, so
     # the terms never collide.
     return TreeCombination._raw(
         {
-            _substitute(S, v, T, targets): monomial(
+            _substitute(S, v.path, branches, T, targets): monomial(
                 sum(len(p) * w for p, w in zip(targets, weights))
             )
             for targets in itertools.product(paths, repeat=len(weights))
@@ -175,32 +178,21 @@ def _as_combination(x) -> TreeCombination:
     if isinstance(x, TreeCombination):
         return x
     if isinstance(x, WeightedTree):
-        return TreeCombination.of(x)
+        return TreeCombination._raw({x: monomial(0)})
     raise TypeError(f"expected a tree or tree combination, got {type(x).__name__}")
-
-
-def _acc_add(acc: dict, term, poly) -> None:
-    prev = acc.get(term)
-    if prev is None:
-        acc[term] = poly
-    else:
-        total = prev + poly
-        if total:
-            acc[term] = total
-        else:
-            del acc[term]
 
 
 def compose_at_label(x, label: str, y) -> TreeCombination:
     """Bilinear extension of compose_lambda, slot selected by label in every
     term of x."""
     acc: dict = {}
-    for s, cs in _as_combination(x).terms():
+    ys = _as_combination(y)._terms
+    for s, cs in _as_combination(x)._terms.items():
         v = s.ref(label)
-        for t, ct in _as_combination(y).terms():
+        for t, ct in ys.items():
             scale = cs * ct
             for tree, coeff in compose_lambda(s, v, t)._terms.items():
-                _acc_add(acc, tree, scale * coeff)
+                accumulate(acc, tree, scale * coeff)
     return TreeCombination._raw(acc)
 
 
@@ -274,11 +266,15 @@ def compose_positional(S: WeightedTree, i: int, T: WeightedTree) -> TreeCombinat
 def graft_at(T: WeightedTree, v: VertexRef, S: WeightedTree) -> WeightedTree:
     """Graft S as a new child branch of vertex v of T."""
     _owned(T, v)
+    _check_graft_args(T, S)
+    return _hang(T, ((v.path, S),))
+
+
+def _check_graft_args(T: WeightedTree, S: WeightedTree) -> None:
     if T.is_labeled != S.is_labeled:
         raise TreeError("cannot graft across labeled and unlabeled trees")
     if T.is_labeled and T.labels & S.labels:
         raise TreeError(f"label clash when grafting: {sorted(T.labels & S.labels)}")
-    return _hang(T, ((v.path, S),))
 
 
 def arrow_lambda(x, y) -> TreeCombination:
@@ -288,12 +284,14 @@ def arrow_lambda(x, y) -> TreeCombination:
     Extends bilinearly when either argument is a combination.
     """
     acc: dict = {}
-    for t, ct in _as_combination(x).terms():
-        for s, cs in _as_combination(y).terms():
+    ys = _as_combination(y)._terms
+    for t, ct in _as_combination(x)._terms.items():
+        for s, cs in ys.items():
+            _check_graft_args(t, s)
             coeff = ct * cs
-            for v in t.vertices():
-                exponent = s.total_weight * len(v.path)
-                _acc_add(acc, graft_at(t, v, s), coeff * monomial(exponent))
+            for path, _ in t.walk():
+                term = _hang(t, ((path, s),))
+                accumulate(acc, term, coeff * monomial(s.total_weight * len(path)))
     return TreeCombination._raw(acc)
 
 
@@ -309,12 +307,13 @@ def circ_sum(T, S) -> TreeCombination:
     """Sum of the graded compositions of S into every vertex of T; only
     vertices whose weight equals S's total weight contribute."""
     acc: dict = {}
-    for t, ct in _as_combination(T).terms():
-        for s, cs in _as_combination(S).terms():
+    ss = _as_combination(S)._terms
+    for t, ct in _as_combination(T)._terms.items():
+        for s, cs in ss.items():
             scale = ct * cs
             for v in t.vertices():
                 for tree, coeff in compose_lambda(t, v, s)._terms.items():
-                    _acc_add(acc, tree, scale * coeff)
+                    accumulate(acc, tree, scale * coeff)
     return TreeCombination._raw(acc)
 
 
@@ -331,10 +330,7 @@ def nap_compose(S: WeightedTree, v: VertexRef, T: WeightedTree) -> WeightedTree:
 def pre_lie_compose(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombination:
     """Classical composition ignoring weights: the plain sum over all
     reattachment maps, each with coefficient 1."""
-    acc = TreeCombination.zero()
-    for f in iter_graft_maps(S, v, T):
-        acc = acc + TreeCombination.of(compose_with_map(S, v, T, f))
-    return acc
+    return TreeCombination((compose_with_map(S, v, T, f), 1) for f in iter_graft_maps(S, v, T))
 
 
 def nap_compose_classical(S: WeightedTree, v: VertexRef, T: WeightedTree) -> WeightedTree:
@@ -353,10 +349,8 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _weightings(tree: WeightedTree, max_total: int) -> Iterator[dict]:
-    labels = sorted(tree.labels)
-    for total in range(len(labels), max_total + 1):
-        for vec in _compositions(total, len(labels)):
-            yield dict(zip(labels, vec))
+    for total in range(tree.size, max_total + 1):
+        yield from _weightings_exact(tree, total)
 
 
 def _weightings_exact(tree: WeightedTree, total: int) -> Iterator[dict]:
@@ -365,47 +359,43 @@ def _weightings_exact(tree: WeightedTree, total: int) -> Iterator[dict]:
         yield dict(zip(labels, vec))
 
 
-def morphism_i_check(S: WeightedTree, T: WeightedTree, v: VertexRef, weight_bound: int) -> bool:
-    """Truncated morphism equality from the classical all-maps composition
-    into the parameter-1 graded composition.
-
-    Both sides are expanded over every weight assignment with total at
-    most weight_bound and compared exactly, component by component.
-    """
-    from .trees import reweight
-
+def _morphism_check(
+    S: WeightedTree, T: WeightedTree, v: VertexRef, weight_bound: int, value: int, offset: int = 0
+) -> bool:
+    """Truncated morphism equality from a classical composition, all-maps
+    for ``value`` 1 and root-only for 0, into the graded composition
+    specialized at ``value``.  Both sides are expanded over every weight
+    assignment with total at most weight_bound and compared exactly.  A
+    nonzero ``offset`` is a deliberate fault for the verification harness:
+    the inserted tree then weighs the slot's weight plus ``offset``."""
     _owned(S, v)
     if S.labels & T.labels:
         raise TreeError("morphism check requires label-disjoint trees")
-    lhs = TreeCombination.zero()
-    for u, c in pre_lie_compose(S, v, T).terms():
+    if value:
+        classical = pre_lie_compose(S, v, T)
+    else:
+        classical = TreeCombination.of(nap_compose_classical(S, v, T))
+    lhs: dict = {}
+    for u, c in classical._terms.items():
         for assignment in _weightings(u, weight_bound):
-            lhs = lhs + c * TreeCombination.of(reweight(u, assignment))
-    rhs = TreeCombination.zero()
+            accumulate(lhs, reweight(u, assignment), c)
+    rhs: dict = {}
     for alpha in _weightings(S, weight_bound):
         Sa = reweight(S, alpha)
-        for beta in _weightings_exact(T, alpha[v.label]):
-            Tb = reweight(T, beta)
-            rhs = rhs + compose_lambda(Sa, Sa.ref(v.label), Tb).specialize(Fraction(1))
+        for beta in _weightings_exact(T, alpha[v.label] + offset):
+            graded = compose_lambda(Sa, Sa.ref(v.label), reweight(T, beta))
+            for tree, c in graded.specialize(value)._terms.items():
+                accumulate(rhs, tree, c)
     return lhs == rhs
+
+
+def morphism_i_check(S: WeightedTree, T: WeightedTree, v: VertexRef, weight_bound: int) -> bool:
+    """Truncated morphism equality from the classical all-maps composition
+    into the parameter-1 graded composition (see ``_morphism_check``)."""
+    return _morphism_check(S, T, v, weight_bound, 1)
 
 
 def morphism_j_check(S: WeightedTree, T: WeightedTree, v: VertexRef, weight_bound: int) -> bool:
     """Truncated morphism equality from the classical root-only composition
-    into the parameter-0 graded composition."""
-    from .trees import reweight
-
-    _owned(S, v)
-    if S.labels & T.labels:
-        raise TreeError("morphism check requires label-disjoint trees")
-    u = nap_compose_classical(S, v, T)
-    lhs = TreeCombination.zero()
-    for assignment in _weightings(u, weight_bound):
-        lhs = lhs + TreeCombination.of(reweight(u, assignment))
-    rhs = TreeCombination.zero()
-    for alpha in _weightings(S, weight_bound):
-        Sa = reweight(S, alpha)
-        for beta in _weightings_exact(T, alpha[v.label]):
-            Tb = reweight(T, beta)
-            rhs = rhs + compose_lambda(Sa, Sa.ref(v.label), Tb).specialize(Fraction(0))
-    return lhs == rhs
+    into the parameter-0 graded composition (see ``_morphism_check``)."""
+    return _morphism_check(S, T, v, weight_bound, 0)

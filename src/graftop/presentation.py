@@ -16,7 +16,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Union
 
-from .algebra import Combination, LambdaPoly, TreeCombination
+from .algebra import Combination, LambdaPoly, TreeCombination, accumulate, monomial
 from .errors import ParseError, TreeError
 from .operad import arrow_lambda
 from .trees import _LABEL_CHARS, UNLABELED, WeightedTree
@@ -105,11 +105,10 @@ class BracketCombination(Combination):
 
 def bracket_mul(a: BracketCombination, b: BracketCombination) -> BracketCombination:
     """Bilinear extension of the binary product to combinations."""
-    acc = BracketCombination.zero()
-    for ea, ca in a.terms():
-        for eb, cb in b.terms():
-            acc = acc + BracketCombination.of(Pair(ea, eb), ca * cb)
-    return acc
+    bs = b._terms.items()
+    return BracketCombination(
+        (Pair(ea, eb), ca * cb) for ea, ca in a._terms.items() for eb, cb in bs
+    )
 
 
 def corolla_decomposition(tree: WeightedTree) -> tuple[Generator, tuple[WeightedTree, ...]]:
@@ -158,10 +157,11 @@ def phi(x) -> TreeCombination:
     becomes its one-vertex tree, a product becomes the deformed graft of
     the right factor onto the left.  Linear in combinations."""
     if isinstance(x, BracketCombination):
-        acc = TreeCombination.zero()
-        for expr, coeff in x.terms():
-            acc = acc + coeff * phi(expr)
-        return acc
+        acc: dict = {}
+        for expr, coeff in x._terms.items():
+            for tree, c in phi(expr)._terms.items():
+                accumulate(acc, tree, coeff * c)
+        return TreeCombination._raw(acc)
     if isinstance(x, Generator):
         return TreeCombination.of(WeightedTree(x.label, x.weight))
     if isinstance(x, Pair):
@@ -186,10 +186,11 @@ def psi(x, branch_order: tuple[int, ...] | None = None) -> BracketCombination:
     if isinstance(x, TreeCombination):
         if branch_order is not None:
             raise TreeError("branch_order applies to a single tree")
-        acc = BracketCombination.zero()
-        for tree, coeff in x.terms():
-            acc = acc + coeff * psi(tree)
-        return acc
+        acc: dict = {}
+        for tree, coeff in x._terms.items():
+            for expr, c in psi(tree)._terms.items():
+                accumulate(acc, expr, coeff * c)
+        return BracketCombination._raw(acc)
     if not isinstance(x, WeightedTree):
         raise TypeError(f"expected a tree or tree combination, got {type(x).__name__}")
     if not x.is_labeled:
@@ -218,14 +219,16 @@ def psi(x, branch_order: tuple[int, ...] | None = None) -> BracketCombination:
         # Recursion descends: head and first_branch lose vertices, the
         # correction trees keep the size but lose one root branch.
         assert head.size < x.size and first_branch.size < x.size
-        result = bracket_mul(psi(head), psi(first_branch))
-        correction = BracketCombination.zero()
+        acc = dict(bracket_mul(psi(head), psi(first_branch))._terms)
+        minus_lam = -monomial(first_branch.total_weight)
         for j in range(len(rest)):
-            for grafted, coeff in arrow_lambda(rest[j], first_branch).terms():
+            for grafted, coeff in arrow_lambda(rest[j], first_branch)._terms.items():
                 merged = corolla_assemble(root, rest[:j] + (grafted,) + rest[j + 1:])
                 assert len(merged.children) == p - 1
-                correction = correction + coeff * psi(merged)
-        result = result - LambdaPoly.monomial(first_branch.total_weight) * correction
+                scale = minus_lam * coeff
+                for expr, c in psi(merged)._terms.items():
+                    accumulate(acc, expr, scale * c)
+        result = BracketCombination._raw(acc)
 
     if branch_order is None:
         cache[x] = result

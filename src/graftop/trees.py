@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .errors import ParseError, TreeError
@@ -21,10 +22,6 @@ UNLABELED = "_"
 _LABEL_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 )
-
-
-def _encoding_of(tree: "WeightedTree") -> str:
-    return tree.encoding
 
 
 _VALID_LABELS: set[str] = set()
@@ -58,7 +55,9 @@ class WeightedTree:
             if not isinstance(label, str) or not label or not set(label) <= _LABEL_CHARS:
                 raise TreeError(f"invalid label {label!r}")
             _VALID_LABELS.add(label)
-        kids = tuple(sorted(children, key=_encoding_of))
+        kids = children if type(children) is tuple else tuple(children)
+        if len(kids) > 1:
+            kids = tuple(sorted(kids, key=attrgetter("encoding")))
         self.label = label
         self.weight = weight
         self.children = kids
@@ -73,7 +72,7 @@ class WeightedTree:
                 energy += c.energy + c.total_weight
                 size += c.size
                 labs |= c.labels
-            self.encoding = f"{label}:{weight}[" + ",".join(c.encoding for c in kids) + "]"
+            self.encoding = f"{label}:{weight}[" + ",".join([c.encoding for c in kids]) + "]"
             self.labels = frozenset(labs)
         else:
             self.encoding = f"{label}:{weight}"
@@ -115,23 +114,27 @@ class WeightedTree:
                 raise TreeError(f"no vertex at path {tuple(path)!r} in {self.encoding}")
         return node
 
+    def walk(self):
+        """Yield ``(path, node)`` for every vertex, root first, preorder in
+        canonical child order; iterative, so depth is not limited."""
+        stack = [((), self)]
+        while stack:
+            path, node = stack.pop()
+            yield path, node
+            kids = node.children
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append((path + (i,), kids[i]))
+
     def vertices(self) -> tuple["VertexRef", ...]:
-        """All vertices as refs, root first, preorder in canonical child order."""
-        out = []
-
-        def walk(node, path):
-            out.append(VertexRef(self, path))
-            for i, child in enumerate(node.children):
-                walk(child, path + (i,))
-
-        walk(self, ())
-        return tuple(out)
+        """All vertices as refs, in ``walk`` order."""
+        return tuple(VertexRef(self, path) for path, _ in self.walk())
 
     def ref(self, label: str) -> "VertexRef":
         """The vertex carrying ``label`` (labeled trees only)."""
-        for v in self.vertices():
-            if v.node.label == label:
-                return v
+        if label in self.labels:
+            for path, node in self.walk():
+                if node.label == label:
+                    return VertexRef(self, path)
         raise TreeError(f"no vertex labeled {label!r} in {self.encoding}")
 
 

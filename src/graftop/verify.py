@@ -19,10 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import LambdaPoly, TreeCombination
+from .algebra import LambdaPoly, TreeCombination, accumulate
 from .errors import TreeError
 from .operad import (
     GraftMap,
+    _as_combination,
+    _morphism_check,
     arrow_lambda,
     compose_lambda,
     compose_unit_left,
@@ -30,6 +32,8 @@ from .operad import (
     compose_with_map,
     graft_at,
     iter_graft_maps,
+    morphism_i_check,
+    morphism_j_check,
     nap_compose,
 )
 from .presentation import Generator, Pair, phi, psi
@@ -163,18 +167,6 @@ class _Recorder:
 # Fault-injected variants (harness only).  Each suite gets the smallest
 # exponent-style bug it can actually observe.
 
-def _acc_add(acc: dict, term, poly) -> None:
-    prev = acc.get(term)
-    if prev is None:
-        acc[term] = poly
-    else:
-        total = prev + poly
-        if total:
-            acc[term] = total
-        else:
-            del acc[term]
-
-
 def _compose_variant(S, v, T, bump):
     """compose_lambda rebuilt from public pieces, with ``bump(is_minimal,
     host)`` added to every exponent."""
@@ -186,7 +178,7 @@ def _compose_variant(S, v, T, bump):
     for f in iter_graft_maps(S, v, T):
         tree = compose_with_map(S, v, T, f)
         exp = tree.energy - d0 + bump(f.is_minimal(), S)
-        _acc_add(acc, tree, LambdaPoly.monomial(exp))
+        accumulate(acc, tree, LambdaPoly.monomial(exp))
     return TreeCombination._raw(acc)
 
 
@@ -217,18 +209,14 @@ def _composer(bump):
 
 
 def _arrow_variant(x, y, bump_nonroot: int) -> TreeCombination:
-    from .operad import _as_combination
-
-    total = TreeCombination.zero()
-    for t, ct in _as_combination(x).terms():
-        for s, cs in _as_combination(y).terms():
+    acc: dict = {}
+    for t, ct in _as_combination(x)._terms.items():
+        for s, cs in _as_combination(y)._terms.items():
             for v in t.vertices():
                 h = len(v.path)
                 exp = s.total_weight * h + (bump_nonroot if h > 0 else 0)
-                total = total + TreeCombination.of(
-                    graft_at(t, v, s), ct * cs * LambdaPoly.monomial(exp)
-                )
-    return total
+                accumulate(acc, graft_at(t, v, s), ct * cs * LambdaPoly.monomial(exp))
+    return TreeCombination._raw(acc)
 
 
 def _phi_with_arrow(expr, arrow):
@@ -236,10 +224,11 @@ def _phi_with_arrow(expr, arrow):
         return TreeCombination.of(WeightedTree(expr.label, expr.weight))
     if isinstance(expr, Pair):
         return arrow(_phi_with_arrow(expr.left, arrow), _phi_with_arrow(expr.right, arrow))
-    acc = TreeCombination.zero()
-    for term, coeff in expr.terms():
-        acc = acc + coeff * _phi_with_arrow(term, arrow)
-    return acc
+    acc: dict = {}
+    for term, coeff in expr._terms.items():
+        for tree, c in _phi_with_arrow(term, arrow)._terms.items():
+            accumulate(acc, tree, coeff * c)
+    return TreeCombination._raw(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +321,10 @@ def oracle_graft_counts(t: Shape, s: Shape) -> dict[Shape, int]:
     return counts
 
 
-def _count_mul(counts: dict, factor: int) -> dict:
-    return {k: v * factor for k, v in counts.items()}
-
-
-def _count_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
+def _count_add(out: dict, counts: dict, factor: int) -> dict:
+    """Add ``factor`` times ``counts`` into ``out`` in place; returns ``out``."""
+    for k, v in counts.items():
+        out[k] = out.get(k, 0) + factor * v
         if out[k] == 0:
             del out[k]
     return out
@@ -349,7 +334,7 @@ def oracle_graft_product(counts_t: dict, s: Shape) -> dict:
     """Extend the shape graft linearly to integer combinations of shapes."""
     out: dict[Shape, int] = {}
     for shape, n in counts_t.items():
-        out = _count_add(out, _count_mul(oracle_graft_counts(shape, s), n))
+        _count_add(out, oracle_graft_counts(shape, s), n)
     return out
 
 
@@ -380,12 +365,12 @@ def _decrement_at(tree: WeightedTree, path) -> WeightedTree:
 
 
 def _reductions(tree: WeightedTree):
-    for v in tree.vertices():
-        if v.path and not v.node.children:
-            yield _delete_at(tree, v.path)
-    for v in tree.vertices():
-        if v.node.weight > 1:
-            yield _decrement_at(tree, v.path)
+    for path, node in tree.walk():
+        if path and not node.children:
+            yield _delete_at(tree, path)
+    for path, node in tree.walk():
+        if node.weight > 1:
+            yield _decrement_at(tree, path)
 
 
 def shrink_instance(trees: tuple, still_fails) -> tuple:
@@ -439,11 +424,11 @@ def check_nested_associativity(universe: Universe | None = None, fault: bool = F
                 lhs: dict = {}
                 for term, coeff in st._terms.items():
                     for tree, c2 in compose(term, term.ref(w_label), U)._terms.items():
-                        _acc_add(lhs, tree, coeff * c2)
+                        accumulate(lhs, tree, coeff * c2)
                 rhs: dict = {}
                 for term, coeff in compose(T, w, U)._terms.items():
                     for tree, c2 in compose(S, v, term)._terms.items():
-                        _acc_add(rhs, tree, coeff * c2)
+                        accumulate(rhs, tree, coeff * c2)
                 if lhs != rhs:
                     return False
         return True
@@ -454,10 +439,10 @@ def check_nested_associativity(universe: Universe | None = None, fault: bool = F
     for S in ss:
         if rec.saturated:
             break
-        slot_weights = {v.weight for v in S.vertices()}
+        slot_weights = {node.weight for _, node in S.walk()}
         for wt in slot_weights:
             for T in ts.get(wt, ()):
-                inner_weights = {v.weight for v in T.vertices()}
+                inner_weights = {node.weight for _, node in T.walk()}
                 for wu in inner_weights:
                     for U in us.get(wu, ()):
                         rec.saw()
@@ -496,11 +481,11 @@ def check_disjoint_associativity(universe: Universe | None = None, fault: bool =
                 lhs: dict = {}
                 for term, coeff in compose(S, v, Ta)._terms.items():
                     for tree, c2 in compose(term, term.ref(wa), Ua)._terms.items():
-                        _acc_add(lhs, tree, coeff * c2)
+                        accumulate(lhs, tree, coeff * c2)
                 rhs: dict = {}
                 for term, coeff in compose(S, w, Ua)._terms.items():
                     for tree, c2 in compose(term, term.ref(va), Ta)._terms.items():
-                        _acc_add(rhs, tree, coeff * c2)
+                        accumulate(rhs, tree, coeff * c2)
                 if lhs != rhs:
                     return False
         return True
@@ -511,7 +496,7 @@ def check_disjoint_associativity(universe: Universe | None = None, fault: bool =
     for S in ss:
         if rec.saturated:
             break
-        weights = sorted({v.weight for v in S.vertices()})
+        weights = sorted({node.weight for _, node in S.walk()})
         for wt in weights:
             for wu in weights:
                 if wu < wt:
@@ -678,13 +663,13 @@ def check_deformed_identity(universe: Universe | None = None, fault: bool = Fals
             us = oracle_graft_counts(u, s)
             ts_ = oracle_graft_counts(t, s)
             st = oracle_graft_counts(s, t)
-            lhs = _count_add(oracle_graft_product(ut, s), _count_mul(_sum_graft(u, ts_), -1))
-            rhs = _count_add(oracle_graft_product(us, t), _count_mul(_sum_graft(u, st), -1))
+            lhs = _count_add(oracle_graft_product(ut, s), _sum_graft(u, ts_), -1)
+            rhs = _count_add(oracle_graft_product(us, t), _sum_graft(u, st), -1)
             if lhs != rhs:
                 rec.fail(f"oracle identity U={U.encoding} T={T.encoding} S={S.encoding}")
             lib = arrow_lambda(U, T).specialize(Fraction(1))
             lib_counts: dict = {}
-            for term, coeff in lib.terms():
+            for term, coeff in lib._terms.items():
                 lib_counts[tree_shape(term)] = int(coeff.coefficient(0))
             if lib_counts != ut:
                 rec.fail(f"graft vs oracle U={U.encoding} T={T.encoding}")
@@ -694,7 +679,7 @@ def check_deformed_identity(universe: Universe | None = None, fault: bool = Fals
 def _sum_graft(u: Shape, counts: dict) -> dict:
     out: dict[Shape, int] = {}
     for shape, n in counts.items():
-        out = _count_add(out, _count_mul(oracle_graft_counts(u, shape), n))
+        _count_add(out, oracle_graft_counts(u, shape), n)
     return out
 
 
@@ -723,12 +708,12 @@ def check_specializations(universe: Universe | None = None, fault: bool = False)
                 expected_zero = TreeCombination.of(oracle_compose_root(Sg, v.label, T))
                 if at_zero != expected_zero:
                     rec.fail(f"parameter-0 S={Sg.encoding} v={v.label} T={T.encoding}")
-                if at_zero and list(at_zero.terms())[0][0] != nap_compose(Sg, vg, T):
+                if at_zero and next(iter(at_zero._terms)) != nap_compose(Sg, vg, T):
                     rec.fail(f"root-only composition S={Sg.encoding} v={v.label} T={T.encoding}")
                 at_one = full.specialize(Fraction(1))
-                expected_one = TreeCombination.zero()
-                for term in oracle_compose_terms(Sg, v.label, T):
-                    expected_one = expected_one + TreeCombination.of(term)
+                expected_one = TreeCombination(
+                    (term, 1) for term in oracle_compose_terms(Sg, v.label, T)
+                )
                 if at_one != expected_one:
                     rec.fail(f"parameter-1 S={Sg.encoding} v={v.label} T={T.encoding}")
                 if rec.saturated:
@@ -783,14 +768,6 @@ def check_morphisms_i_j(
 ) -> CheckReport:
     """Truncated morphism equalities for the classical-to-graded embeddings,
     checked both for the all-maps and the root-only composition."""
-    from .operad import (
-        _weightings,
-        _weightings_exact,
-        morphism_i_check,
-        morphism_j_check,
-        pre_lie_compose,
-    )
-
     universe = universe or Universe(3, 1)
     rec = _Recorder("morphism-truncations")
     s_shapes = universe.shapes("s")
@@ -804,19 +781,7 @@ def check_morphisms_i_j(
                 if fault:
                     # off-by-one in the weight split between host slot and
                     # inserted tree
-                    lhs = TreeCombination.zero()
-                    for u, c in pre_lie_compose(S, v, T).terms():
-                        for assignment in _weightings(u, weight_bound):
-                            lhs = lhs + c * TreeCombination.of(reweight(u, assignment))
-                    rhs = TreeCombination.zero()
-                    for alpha in _weightings(S, weight_bound):
-                        Sa = reweight(S, alpha)
-                        for beta in _weightings_exact(T, alpha[v.label] + 1):
-                            Tb = reweight(T, beta)
-                            rhs = rhs + compose_lambda(
-                                Sa, Sa.ref(v.label), Tb
-                            ).specialize(Fraction(1))
-                    if lhs != rhs:
+                    if not _morphism_check(S, T, v, weight_bound, 1, offset=1):
                         rec.fail(f"S={S.encoding} v={v.label} T={T.encoding}")
                 else:
                     if not morphism_i_check(S, T, v, weight_bound):

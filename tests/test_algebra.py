@@ -19,6 +19,7 @@ from graftop import (
     poly_eval,
     specialize,
 )
+from graftop.algebra import accumulate
 
 fractions = st.builds(
     Fraction, st.integers(-30, 30), st.integers(1, 12)
@@ -189,3 +190,60 @@ def test_combination_print_order_and_format():
     c = TreeCombination(((T2, LAMBDA + LambdaPoly.one()), (T1, LambdaPoly.one())))
     assert str(c) == "1 * a:1[b:2] + (1 + L) * c:3"
     assert str(TreeCombination.zero()) == "0"
+
+
+# --- coefficient representation ---------------------------------------------------
+
+def _normalized(p):
+    # integral coefficients are ints, the others Fractions in lowest terms
+    return all(
+        c and type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+        for _, c in p.terms()
+    )
+
+
+def test_coefficients_are_int_unless_fractional():
+    p = parse_poly("2 + -3*L^2") * parse_poly("1/2*L")
+    assert p.terms() == ((1, 1), (3, Fraction(-3, 2)))
+    assert [type(c) for _, c in p.terms()] == [int, Fraction]
+    c = TreeCombination.of(T1, parse_poly("1 + L"))
+    assert c.specialize(Fraction(1, 2)).coefficient(T1).terms() == ((0, Fraction(3, 2)),)
+    assert type(c.specialize(Fraction(1)).coefficient(T1).coefficient(0)) is int
+    assert type(poly_eval(parse_poly("1 + L"), 1)) is Fraction
+
+
+@given(polys, polys)
+def test_arithmetic_keeps_coefficients_normalized(p, q):
+    for r in (p, -p, p + q, p - q, p * q, p**2):
+        assert _normalized(r)
+
+
+def test_unit_denominator_fraction_equals_int():
+    for exp in (0, 1, 3):
+        a = LambdaPoly(((exp, Fraction(4, 2)),))
+        b = LambdaPoly(((exp, 2),))
+        assert a == b and hash(a) == hash(b) and str(a) == str(b)
+        assert type(a.coefficient(exp)) is int
+    assert LambdaPoly.constant(Fraction(4, 2)) == 2 and hash(LambdaPoly.constant(2)) == hash(2)
+
+
+def test_missing_coefficient_is_zero():
+    assert parse_poly("1 + L^2").coefficient(1) == 0
+    assert LambdaPoly.zero().coefficient(0) == 0
+
+
+def test_adding_labeled_and_unlabeled_combinations_rejected():
+    with pytest.raises(TreeError):
+        TreeCombination.of(T1) + TreeCombination.of(parse_tree("_:1"))
+
+
+def test_accumulate_prunes_cancelled_terms():
+    acc = {}
+    accumulate(acc, T1, LAMBDA)
+    accumulate(acc, T2, LambdaPoly.one())
+    accumulate(acc, T1, -LAMBDA)
+    accumulate(acc, T1, LambdaPoly.zero())
+    assert acc == {T2: LambdaPoly.one()}
+    x = TreeCombination(((T1, LAMBDA), (T2, LambdaPoly.one())))
+    assert (x + TreeCombination.of(T1, -LAMBDA)).support() == {T2}
+    assert not x - x and not x.scale(0) and len(x.scale(LAMBDA)) == 2

@@ -198,3 +198,27 @@ def test_print_parse_roundtrip_through_cli(capsys):
         coeff, tree = part.split(" * ")
         parse_poly(coeff.strip("()"))
         parse_tree(tree)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_check_rejects_nonpositive_weight_bound(capsys, value):
+    code, err = rejected(capsys, "check", "--suite", "morph", "--weight-bound", value)
+    assert code == 2
+    assert "--weight-bound" in err and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_dims_rejects_nonpositive_wmax(capsys, value):
+    code, err = rejected(capsys, "dims", "-n", "3", "--wmax", value)
+    assert code == 2
+    assert "--wmax" in err and "must be >= 1" in err
+
+
+def test_internal_error_exits_3_without_traceback(capsys):
+    # a tree nested deeper than the parser's recursion allows
+    deep = "".join(f"v{i}:1[" for i in range(3000)) + "w:1" + "]" * 3000
+    code, out, err = run(capsys, "arrow", "-T", deep, "-S", "z:1")
+    assert code == 3
+    assert not out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -318,3 +318,39 @@ def test_vertex_ref_accessors():
     assert isinstance(c, VertexRef)
     assert c.weight == 2 and c.label == "c" and c.height == 2
     assert c.node == parse_tree("c:2")
+
+
+def recursive_preorder(tree, path=()):
+    # independent reference: the plain recursive walk
+    out = [(path, tree)]
+    for i, child in enumerate(tree.children):
+        out += recursive_preorder(child, path + (i,))
+    return out
+
+
+@given(st.booleans().flatmap(lambda labeled: random_trees(max_size=8, labeled=labeled)))
+def test_vertices_match_recursive_preorder(t):
+    expected = recursive_preorder(t)
+    assert [(path, node) for path, node in t.walk()] == expected
+    assert [v.path for v in t.vertices()] == [path for path, _ in expected]
+    assert all(v.tree is t for v in t.vertices())
+    if t.is_labeled:
+        assert all(t.ref(node.label).path == path for path, node in expected)
+    else:
+        assert t.ref("_").path == ()
+
+
+def test_ref_on_deep_chain_does_not_recurse():
+    # twice the default recursion limit, built bottom-up; a 5,000-vertex
+    # chain would work too but costs about 0.7 GB, since every vertex keeps
+    # the set of labels below it
+    n = 2000
+    chain = WeightedTree(f"v{n - 1}", 1)
+    for i in range(n - 2, -1, -1):
+        chain = WeightedTree(f"v{i}", 1, (chain,))
+    deepest = chain.ref(f"v{n - 1}")
+    assert deepest.path == (0,) * (n - 1) and deepest.label == f"v{n - 1}"
+    assert chain.ref("v0").path == ()
+    assert len(chain.vertices()) == n
+    with pytest.raises(TreeError):
+        chain.ref("w")
