@@ -79,18 +79,21 @@ def iter_graft_maps(S: WeightedTree, v: VertexRef, T: WeightedTree) -> Iterator[
 
 def _replace_at(node: WeightedTree, path: tuple, new: WeightedTree) -> WeightedTree:
     """``node`` with its vertex at ``path`` replaced by the subtree ``new``;
-    only the vertices along the path are rebuilt."""
+    only the vertices along the path are rebuilt, with the trusted
+    constructor: the caller has checked that ``new`` brings no label of
+    ``node`` other than the replaced vertex's."""
     if not path:
         return new
     kids = list(node.children)
     kids[path[0]] = _replace_at(kids[path[0]], path[1:], new)
-    return WeightedTree(node.label, node.weight, tuple(kids))
+    return WeightedTree._node(node.label, node.weight, tuple(kids))
 
 
 def _hang(node: WeightedTree, hung) -> WeightedTree:
     """``node`` with each ``(path, branch)`` of ``hung`` attached as a new
     child of the vertex at ``path``; only the ancestors of those vertices
-    are rebuilt."""
+    are rebuilt, with the trusted constructor: the caller has checked that
+    the branches and ``node`` are label-disjoint (or all unlabeled)."""
     if not hung:
         return node
     here = []
@@ -103,7 +106,7 @@ def _hang(node: WeightedTree, hung) -> WeightedTree:
     kids = list(node.children)
     for i, items in below.items():
         kids[i] = _hang(kids[i], items)
-    return WeightedTree(node.label, node.weight, tuple(kids) + tuple(here))
+    return WeightedTree._node(node.label, node.weight, tuple(kids) + tuple(here))
 
 
 def _substitute(S: WeightedTree, path, branches, T: WeightedTree, target_paths) -> WeightedTree:

@@ -34,7 +34,7 @@ class Generator:
     def __post_init__(self):
         if not self.label or self.label == UNLABELED or not set(self.label) <= _LABEL_CHARS:
             raise TreeError(f"invalid generator label {self.label!r}")
-        if not isinstance(self.weight, int) or self.weight < 1:
+        if type(self.weight) is bool or not isinstance(self.weight, int) or self.weight < 1:
             raise TreeError(f"generator weight must be a positive integer, got {self.weight!r}")
         object.__setattr__(self, "encoding", f"{self.label}_{self.weight}")
         object.__setattr__(self, "labels", frozenset((self.label,)))

@@ -25,16 +25,42 @@ _LABEL_CHARS = frozenset(
 
 
 _VALID_LABELS: set[str] = set()
+_BY_ENCODING = attrgetter("encoding")
+
+
+def _check_weight(weight) -> None:
+    if type(weight) is bool or not isinstance(weight, int) or weight < 1:
+        raise TreeError(f"vertex weight must be a positive integer, got {weight!r}")
+
+
+def _check_label(label) -> None:
+    if label not in _VALID_LABELS:
+        if not isinstance(label, str) or not label or not set(label) <= _LABEL_CHARS:
+            raise TreeError(f"invalid label {label!r}")
+        _VALID_LABELS.add(label)
 
 
 class WeightedTree:
     """A rooted tree whose vertices carry a label and a weight >= 1.
 
     ``encoding`` is the canonical textual form (``a:1[b:3[c:2,d:1]]``);
-    two trees are equal exactly when their encodings coincide.  Derived
-    quantities (total weight, potential energy, vertex count, label set)
-    are computed once at construction.  Instances are value objects: treat
-    them as immutable and never assign to their attributes.
+    two trees are equal exactly when their encodings coincide.  Instances
+    are value objects: treat them as immutable and never assign to their
+    attributes.
+
+    ``encoding``, ``total_weight``, ``energy`` (potential energy) and
+    ``size`` (vertex count) are computed at construction.  ``labels``, the
+    set of vertex labels, is computed on first read and then kept.
+
+    The constructor validates its input: weights, labels, and that a tree
+    is either labeled with distinct labels or unlabeled throughout.
+    ``WeightedTree._node`` is the trusted constructor for trees assembled
+    from parts of trees that already exist: it computes the same fields
+    but checks nothing, so its caller must guarantee that the weight and
+    label are valid and that the children's labels are disjoint from each
+    other and from ``label`` (or that all are ``_``).  The operations in
+    ``operad`` and ``relabel``/``reweight``/``strip_labels`` call it only
+    after their argument checks have established that.
     """
 
     __slots__ = (
@@ -45,49 +71,71 @@ class WeightedTree:
         "total_weight",
         "energy",
         "size",
-        "labels",
+        "_labels",
     )
 
     def __init__(self, label: str, weight: int, children: tuple = ()):
-        if not isinstance(weight, int) or weight < 1:
-            raise TreeError(f"vertex weight must be a positive integer, got {weight!r}")
-        if label not in _VALID_LABELS:
-            if not isinstance(label, str) or not label or not set(label) <= _LABEL_CHARS:
-                raise TreeError(f"invalid label {label!r}")
-            _VALID_LABELS.add(label)
-        kids = children if type(children) is tuple else tuple(children)
+        _check_weight(weight)
+        _check_label(label)
+        self._fill(label, weight, children if type(children) is tuple else tuple(children))
+        labs = {label}
+        for c in self.children:
+            labs |= c.labels
+        self._labels = labs = frozenset(labs)
+        if label == UNLABELED:
+            if labs != {UNLABELED}:
+                raise TreeError("unlabeled trees must use '_' on every vertex")
+        else:
+            if UNLABELED in labs:
+                raise TreeError("cannot mix labeled and unlabeled vertices")
+            if len(labs) != self.size:
+                raise TreeError(f"duplicate labels in {self.encoding}")
+
+    @classmethod
+    def _node(cls, label: str, weight: int, kids: tuple) -> "WeightedTree":
+        """Trusted constructor: no validation, no label set (see the class
+        docstring for the precondition)."""
+        node = cls.__new__(cls)
+        node._fill(label, weight, kids)
+        return node
+
+    def _fill(self, label: str, weight: int, kids: tuple) -> None:
         if len(kids) > 1:
-            kids = tuple(sorted(kids, key=attrgetter("encoding")))
+            kids = tuple(sorted(kids, key=_BY_ENCODING))
         self.label = label
         self.weight = weight
         self.children = kids
+        self._labels = None
         total = weight
         energy = 0
         size = 1
         if kids:
-            labs = {label}
             for c in kids:
                 total += c.total_weight
                 # Hanging a branch one level down adds its full weight.
                 energy += c.energy + c.total_weight
                 size += c.size
-                labs |= c.labels
             self.encoding = f"{label}:{weight}[" + ",".join([c.encoding for c in kids]) + "]"
-            self.labels = frozenset(labs)
         else:
             self.encoding = f"{label}:{weight}"
-            self.labels = frozenset((label,))
         self.total_weight = total
         self.energy = energy
         self.size = size
-        if label == UNLABELED:
-            if self.labels != {UNLABELED}:
-                raise TreeError("unlabeled trees must use '_' on every vertex")
-        else:
-            if UNLABELED in self.labels:
-                raise TreeError("cannot mix labeled and unlabeled vertices")
-            if len(self.labels) != size:
-                raise TreeError(f"duplicate labels in {self.encoding}")
+
+    @property
+    def labels(self) -> frozenset:
+        """The set of vertex labels, computed bottom-up on first read; the
+        walk is iterative and reuses the sets already cached below."""
+        if self._labels is None:
+            order = [self]
+            for node in order:  # breadth-first: every parent precedes its children
+                order.extend([c for c in node.children if c._labels is None])
+            for node in reversed(order):
+                labs = {node.label}
+                for c in node.children:
+                    labs |= c._labels
+                node._labels = frozenset(labs)
+        return self._labels
 
     def __eq__(self, other):
         return isinstance(other, WeightedTree) and self.encoding == other.encoding
@@ -217,51 +265,57 @@ def canonicalize(tree: WeightedTree) -> WeightedTree:
     return tree
 
 
+def _rebuild(tree: WeightedTree, label_of, weight_of) -> WeightedTree:
+    """``tree`` with every vertex relabeled by ``label_of(node)`` and
+    reweighted by ``weight_of(node)``, built bottom-up with the trusted
+    constructor; iterative, so depth is not limited.  The caller has checked
+    that the new labels and weights make a valid tree."""
+    order = [tree]
+    for node in order:  # breadth-first: every parent precedes its children
+        order.extend(node.children)
+    new: dict[int, WeightedTree] = {}
+    for node in reversed(order):
+        new[id(node)] = WeightedTree._node(
+            label_of(node), weight_of(node), tuple([new[id(c)] for c in node.children])
+        )
+    return new[id(tree)]
+
+
 def relabel(tree: WeightedTree, mapping: Mapping[str, str]) -> WeightedTree:
     """Rename vertices through a bijection on the label set; weights travel
     with their vertices."""
     if not tree.is_labeled:
         raise TreeError("cannot relabel an unlabeled tree")
-    missing = tree.labels - set(mapping)
+    labels = tree.labels
+    missing = labels.difference(mapping)
     if missing:
         raise TreeError(f"relabel map misses labels {sorted(missing)}")
-    image = [mapping[lab] for lab in tree.labels]
+    image = [mapping[lab] for lab in labels]
     if len(set(image)) != len(image):
         raise TreeError("relabel map is not injective on the label set")
     if UNLABELED in image:
         raise TreeError("relabel target '_' is reserved for unlabeled trees")
-
-    def rebuild(node):
-        return WeightedTree(
-            mapping[node.label], node.weight, tuple(rebuild(c) for c in node.children)
-        )
-
-    return rebuild(tree)
+    for lab in image:
+        _check_label(lab)
+    return _rebuild(tree, lambda node: mapping[node.label], attrgetter("weight"))
 
 
 def reweight(tree: WeightedTree, weights: Mapping[str, int]) -> WeightedTree:
     """Replace vertex weights, keyed by label (labeled trees only)."""
     if not tree.is_labeled:
         raise TreeError("cannot reweight an unlabeled tree by label")
-    missing = tree.labels - set(weights)
+    labels = tree.labels
+    missing = labels.difference(weights)
     if missing:
         raise TreeError(f"weight map misses labels {sorted(missing)}")
-
-    def rebuild(node):
-        return WeightedTree(
-            node.label, weights[node.label], tuple(rebuild(c) for c in node.children)
-        )
-
-    return rebuild(tree)
+    for lab in labels:
+        _check_weight(weights[lab])
+    return _rebuild(tree, attrgetter("label"), lambda node: weights[node.label])
 
 
 def strip_labels(tree: WeightedTree) -> WeightedTree:
     """Forget labels: the unlabeled (isomorphism-class) form."""
-
-    def rebuild(node):
-        return WeightedTree(UNLABELED, node.weight, tuple(rebuild(c) for c in node.children))
-
-    return rebuild(tree)
+    return _rebuild(tree, lambda node: UNLABELED, attrgetter("weight"))
 
 
 def enumerate_labeled_trees(

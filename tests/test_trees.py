@@ -7,11 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graftop import (
+    Generator,
     ParseError,
     TreeError,
     VertexRef,
     WeightedTree,
+    arrow_lambda,
     canonicalize,
+    circ_sum,
+    compose_lambda,
     enumerate_labeled_trees,
     enumerate_unlabeled_trees,
     height,
@@ -23,6 +27,7 @@ from graftop import (
     strip_labels,
     weight,
 )
+from graftop.verify import Universe
 
 CAYLEY = {1: 1, 2: 2, 3: 9, 4: 64, 5: 625, 6: 7776}
 
@@ -36,7 +41,7 @@ def ladder(n, weights=None, prefix="v"):
 
 
 @st.composite
-def random_trees(draw, max_size=6, max_weight=3, labeled=True):
+def random_trees(draw, max_size=6, max_weight=3, labeled=True, prefix="n"):
     n = draw(st.integers(1, max_size))
     parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
     weights = [draw(st.integers(1, max_weight)) for _ in range(n)]
@@ -45,7 +50,7 @@ def random_trees(draw, max_size=6, max_weight=3, labeled=True):
         kids[parent].append(child)
 
     def make(i):
-        label = f"n{i}" if labeled else "_"
+        label = f"{prefix}{i}" if labeled else "_"
         return WeightedTree(label, weights[i], tuple(make(j) for j in kids[i]))
 
     return make(0)
@@ -198,6 +203,16 @@ def test_bad_weight_rejected():
         WeightedTree("a", 0)
 
 
+def test_bool_weights_rejected():
+    # True is an int, but "a:True" is not a tree the parser reads back
+    with pytest.raises(TreeError, match="vertex weight must be a positive integer"):
+        WeightedTree("a", True)
+    with pytest.raises(TreeError, match="vertex weight must be a positive integer"):
+        reweight(parse_tree("a:1[b:1]"), {"a": 1, "b": True})
+    with pytest.raises(TreeError, match="generator weight must be a positive integer"):
+        Generator("x", True)
+
+
 # --- enumeration ---------------------------------------------------------------
 
 @pytest.mark.parametrize("n", sorted(CAYLEY))
@@ -263,10 +278,37 @@ def test_relabel_covariant_with_canonical_form():
 
 def test_relabel_rejects_non_bijection():
     t = parse_tree("a:1[b:2]")
-    with pytest.raises(TreeError):
+    with pytest.raises(TreeError, match="not injective"):
         relabel(t, {"a": "x", "b": "x"})
-    with pytest.raises(TreeError):
+    with pytest.raises(TreeError, match=r"relabel map misses labels \['b'\]"):
         relabel(t, {"a": "x"})
+
+
+def test_rebuild_rejections_keep_their_messages():
+    t = parse_tree("a:1[b:2]")
+    with pytest.raises(TreeError, match="'_' is reserved"):
+        relabel(t, {"a": "x", "b": "_"})
+    with pytest.raises(TreeError, match="invalid label 'x y'"):
+        relabel(t, {"a": "x y", "b": "z"})
+    with pytest.raises(TreeError, match=r"weight map misses labels \['a'\]"):
+        reweight(t, {"b": 1})
+    with pytest.raises(TreeError, match="vertex weight must be a positive integer, got 0"):
+        reweight(t, {"a": 1, "b": 0})
+
+
+def test_rebuilds_on_deep_chain_do_not_recurse():
+    # built bottom-up, deeper than the default recursion limit
+    n = 1200
+    chain = ladder(n)
+    renamed = relabel(chain, {f"v{i}": f"w{i}" for i in range(1, n + 1)})
+    assert renamed == ladder(n, prefix="w")
+    heavy = reweight(chain, {f"v{i}": 2 for i in range(1, n + 1)})
+    assert heavy == ladder(n, [2] * n)
+    bare = WeightedTree("_", 1)
+    for _ in range(n - 1):
+        bare = WeightedTree("_", 1, (bare,))
+    assert strip_labels(chain) == bare
+    assert (renamed.size, heavy.total_weight, heavy.energy) == (n, 2 * n, n * (n - 1))
 
 
 def test_structural_queries_invariant_under_canonicalize():
@@ -354,3 +396,60 @@ def test_ref_on_deep_chain_does_not_recurse():
     assert len(chain.vertices()) == n
     with pytest.raises(TreeError):
         chain.ref("w")
+
+
+# --- trusted constructor against the validating one -------------------------------
+
+def assert_matches_validated(tree):
+    """``tree`` agrees at every vertex with the same text rebuilt by the
+    validating constructor, and its lazy label set matches a walk."""
+    ref = parse_tree(tree.encoding)
+    assert ref == tree
+    for (_, node), (_, want) in zip(tree.walk(), ref.walk()):
+        assert (node.label, node.weight, node.total_weight, node.energy, node.size) == (
+            want.label, want.weight, want.total_weight, want.energy, want.size
+        )
+        assert [c.encoding for c in node.children] == [c.encoding for c in want.children]
+    labels = tree.labels
+    assert labels == {node.label for _, node in tree.walk()}
+    assert tree.labels is labels
+
+
+def test_compose_terms_match_validated_trees():
+    uni = Universe(3, 3)
+    ts = {}
+    for t in uni.trees("t"):
+        ts.setdefault(t.total_weight, []).append(t)
+    terms = 0
+    for S in uni.trees("s"):
+        for v in S.vertices():
+            for T in ts.get(v.weight, ()):
+                for tree in compose_lambda(S, v, T).support():
+                    assert_matches_validated(tree)
+                    terms += 1
+    assert terms > 1000
+
+
+@given(
+    st.booleans().flatmap(
+        lambda labeled: st.tuples(
+            random_trees(max_size=5, labeled=labeled),
+            random_trees(max_size=3, labeled=labeled, prefix="m"),
+        )
+    )
+)
+def test_arrow_and_circ_sum_terms_match_validated_trees(pair):
+    x, y = pair
+    for tree in arrow_lambda(x, y).support():
+        assert_matches_validated(tree)
+    if x.is_labeled:
+        for tree in circ_sum(x, y).support():
+            assert_matches_validated(tree)
+
+
+@given(random_trees(max_size=7))
+def test_rebuilt_trees_match_validated_trees(t):
+    order = sorted(t.labels)
+    assert_matches_validated(relabel(t, {lab: f"q{len(order) - i}" for i, lab in enumerate(order)}))
+    assert_matches_validated(reweight(t, {lab: 1 + i % 3 for i, lab in enumerate(order)}))
+    assert_matches_validated(strip_labels(t))
