@@ -233,7 +233,10 @@ def parse_poly(text: str) -> LambdaPoly:
         stripped = chunk.strip()
         if not stripped or m is None or (m.group("coeff") is None and "L" not in chunk):
             raise ParseError(f"bad polynomial term {stripped!r}", offset)
-        coeff = Fraction(m.group("coeff").replace(" ", "")) if m.group("coeff") else 1
+        try:
+            coeff = Fraction(m.group("coeff").replace(" ", "")) if m.group("coeff") else 1
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in polynomial term {stripped!r}", offset) from None
         if m.group("neg"):
             coeff = -coeff
         if "L" in chunk:

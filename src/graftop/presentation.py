@@ -19,7 +19,7 @@ from typing import Union
 from .algebra import Combination, LambdaPoly, TreeCombination, accumulate, monomial
 from .errors import ParseError, TreeError
 from .operad import arrow_lambda
-from .trees import _LABEL_CHARS, UNLABELED, WeightedTree
+from .trees import _LABEL_CHARS, UNLABELED, WeightedTree, _is_label
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -32,7 +32,7 @@ class Generator:
     labels: frozenset = field(init=False)
 
     def __post_init__(self):
-        if not self.label or self.label == UNLABELED or not set(self.label) <= _LABEL_CHARS:
+        if self.label == UNLABELED or not _is_label(self.label):
             raise TreeError(f"invalid generator label {self.label!r}")
         if type(self.weight) is bool or not isinstance(self.weight, int) or self.weight < 1:
             raise TreeError(f"generator weight must be a positive integer, got {self.weight!r}")
@@ -156,20 +156,24 @@ def phi(x) -> TreeCombination:
     """Evaluate bracket expressions into tree combinations: a generator
     becomes its one-vertex tree, a product becomes the deformed graft of
     the right factor onto the left.  Linear in combinations."""
+    return _evaluate(x, arrow_lambda, _cache("phi"))
+
+
+def _evaluate(x, arrow, memo: dict) -> TreeCombination:
+    """phi with the grafting product ``arrow``, keeping the value of every
+    product node in ``memo``."""
     if isinstance(x, BracketCombination):
         acc: dict = {}
         for expr, coeff in x._terms.items():
-            for tree, c in phi(expr)._terms.items():
+            for tree, c in _evaluate(expr, arrow, memo)._terms.items():
                 accumulate(acc, tree, coeff * c)
         return TreeCombination._raw(acc)
     if isinstance(x, Generator):
         return TreeCombination.of(WeightedTree(x.label, x.weight))
     if isinstance(x, Pair):
-        cache = _cache("phi")
-        hit = cache.get(x)
+        hit = memo.get(x)
         if hit is None:
-            hit = arrow_lambda(phi(x.left), phi(x.right))
-            cache[x] = hit
+            hit = memo[x] = arrow(_evaluate(x.left, arrow, memo), _evaluate(x.right, arrow, memo))
         return hit
     raise TypeError(f"expected a bracket expression or combination, got {type(x).__name__}")
 

@@ -22,9 +22,8 @@ UNLABELED = "_"
 _LABEL_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 )
+_DIGITS = frozenset("0123456789")
 
-
-_VALID_LABELS: set[str] = set()
 _BY_ENCODING = attrgetter("encoding")
 
 
@@ -33,11 +32,19 @@ def _check_weight(weight) -> None:
         raise TreeError(f"vertex weight must be a positive integer, got {weight!r}")
 
 
+def _is_label(label) -> bool:
+    """A nonempty string of ASCII letters, digits and ``_`` (the characters
+    of ``_LABEL_CHARS``)."""
+    return (
+        isinstance(label, str)
+        and label.isascii()
+        and (label.isalnum() or label.replace("_", "0").isalnum())
+    )
+
+
 def _check_label(label) -> None:
-    if label not in _VALID_LABELS:
-        if not isinstance(label, str) or not label or not set(label) <= _LABEL_CHARS:
-            raise TreeError(f"invalid label {label!r}")
-        _VALID_LABELS.add(label)
+    if not _is_label(label):
+        raise TreeError(f"invalid label {label!r}")
 
 
 class WeightedTree:
@@ -405,7 +412,7 @@ class _TreeParser:
 
     def number(self) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error("expected a weight")

@@ -19,24 +19,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import LambdaPoly, TreeCombination, accumulate
+from .algebra import LambdaPoly, TreeCombination, accumulate, monomial
 from .errors import TreeError
 from .operad import (
     GraftMap,
     _as_combination,
+    _fresh_label,
     _morphism_check,
     arrow_lambda,
     compose_lambda,
     compose_unit_left,
     compose_unit_right,
     compose_with_map,
-    graft_at,
     iter_graft_maps,
     morphism_i_check,
     morphism_j_check,
     nap_compose,
+    unit,
 )
-from .presentation import Generator, Pair, phi, psi
+from .presentation import _evaluate, phi, psi
 from .trees import (
     UNLABELED,
     WeightedTree,
@@ -133,101 +134,70 @@ class CheckReport:
         return line
 
 
-class _Recorder:
-    def __init__(self, name: str):
-        self.name = name
-        self.start = time.perf_counter()
-        self.instances = 0
-        self.failure_count = 0
-        self.examples: list[str] = []
+# ---------------------------------------------------------------------------
+# Check runner.
 
-    def saw(self):
-        self.instances += 1
+def _run(name: str, instances) -> CheckReport:
+    """Run one check over ``instances``, a lazy stream that yields, per
+    instance, the iterable of that instance's failure descriptions.  Keeps
+    the first ``_EXAMPLE_CAP`` descriptions and stops after the instance
+    that brings the failure count to ``_FAILURE_SCAN_CAP``."""
+    start = time.perf_counter()
+    count = failures = 0
+    examples: list[str] = []
+    for found in instances:
+        count += 1
+        for description in found:
+            failures += 1
+            if len(examples) < _EXAMPLE_CAP:
+                examples.append(description)
+        if failures >= _FAILURE_SCAN_CAP:
+            break
+    return CheckReport(name, count, failures, tuple(examples), time.perf_counter() - start)
 
-    def fail(self, description: str):
-        self.failure_count += 1
-        if len(self.examples) < _EXAMPLE_CAP:
-            self.examples.append(description)
 
-    @property
-    def saturated(self) -> bool:
-        return self.failure_count >= _FAILURE_SCAN_CAP
+def _law(holds, names: str):
+    """The failures of a law on one instance, a tuple of trees: none when
+    ``holds(*trees)``, else one description of the shrunk counterexample,
+    each tree named by the matching letter of ``names``."""
 
-    def report(self) -> CheckReport:
-        return CheckReport(
-            self.name,
-            self.instances,
-            self.failure_count,
-            tuple(self.examples),
-            time.perf_counter() - self.start,
-        )
+    def failures(trees):
+        if not holds(*trees):
+            small = shrink_instance(trees, lambda c: not holds(*c))
+            yield " ".join(f"{n}={t.encoding}" for n, t in zip(names, small))
+
+    return failures
 
 
 # ---------------------------------------------------------------------------
-# Fault-injected variants (harness only).  Each suite gets the smallest
-# exponent-style bug it can actually observe.
+# Fault injection (harness only): the production operations with their
+# exponents raised.  Each suite gets the smallest exponent-style bug it can
+# actually observe.
 
-def _compose_variant(S, v, T, bump):
-    """compose_lambda rebuilt from public pieces, with ``bump(is_minimal,
-    host)`` added to every exponent."""
-    if T.total_weight != v.weight:
-        return TreeCombination.zero()
-    base = compose_with_map(S, v, T, GraftMap.root_map(S, v, T))
-    d0 = base.energy
+def _raised(combo: TreeCombination, root: int, rest: int) -> TreeCombination:
+    """``combo`` with its constant-coefficient term, the root map of a
+    composition or the root graft of a grafting, times L**root and every
+    other term times L**rest."""
+    return TreeCombination._raw(
+        {t: c * monomial(root if c.degree == 0 else rest) for t, c in combo._terms.items()}
+    )
+
+
+def _faulty_compose(root: int, rest):
+    """compose_lambda with the root-map exponent raised by ``root`` and
+    every other exponent by ``rest(S)`` for the host S."""
+    return lambda S, v, T: _raised(compose_lambda(S, v, T), root, rest(S))
+
+
+def _faulty_arrow(x, y) -> TreeCombination:
+    """arrow_lambda, applied to each pair of terms, with every graft below
+    the root raised by one power of L."""
     acc: dict = {}
-    for f in iter_graft_maps(S, v, T):
-        tree = compose_with_map(S, v, T, f)
-        exp = tree.energy - d0 + bump(f.is_minimal(), S)
-        accumulate(acc, tree, LambdaPoly.monomial(exp))
-    return TreeCombination._raw(acc)
-
-
-def _bump_none(is_minimal, host):
-    return 0
-
-
-def _bump_nonminimal_plus_one(is_minimal, host):
-    return 0 if is_minimal else 1
-
-
-def _bump_all_plus_one(is_minimal, host):
-    return 1
-
-
-def _bump_host_scaled(is_minimal, host):
-    # A plain +1 on non-minimal maps is provably invisible to the disjoint
-    # law (the pairing of maps preserves per-map minimality), so this bug
-    # scales with the host size instead.
-    return 0 if is_minimal else host.size - 1
-
-
-def _composer(bump):
-    def compose(S, v, T):
-        return _compose_variant(S, v, T, bump)
-
-    return compose
-
-
-def _arrow_variant(x, y, bump_nonroot: int) -> TreeCombination:
-    acc: dict = {}
+    ys = _as_combination(y)._terms
     for t, ct in _as_combination(x)._terms.items():
-        for s, cs in _as_combination(y)._terms.items():
-            for v in t.vertices():
-                h = len(v.path)
-                exp = s.total_weight * h + (bump_nonroot if h > 0 else 0)
-                accumulate(acc, graft_at(t, v, s), ct * cs * LambdaPoly.monomial(exp))
-    return TreeCombination._raw(acc)
-
-
-def _phi_with_arrow(expr, arrow):
-    if isinstance(expr, Generator):
-        return TreeCombination.of(WeightedTree(expr.label, expr.weight))
-    if isinstance(expr, Pair):
-        return arrow(_phi_with_arrow(expr.left, arrow), _phi_with_arrow(expr.right, arrow))
-    acc: dict = {}
-    for term, coeff in expr._terms.items():
-        for tree, c in _phi_with_arrow(term, arrow)._terms.items():
-            accumulate(acc, tree, coeff * c)
+        for s, cs in ys.items():
+            for tree, c in _raised(arrow_lambda(t, s), 0, 1)._terms.items():
+                accumulate(acc, tree, ct * cs * c)
     return TreeCombination._raw(acc)
 
 
@@ -405,12 +375,27 @@ def _group_by_weight(trees):
     return grouped
 
 
+def _slots(universe: Universe):
+    """Every (S, v, T): a host, one of its vertices and an inserted tree
+    whose total weight is that vertex's weight."""
+    ts = _group_by_weight(universe.trees("t"))
+    return (
+        (S, v, T) for S in universe.trees("s") for v in S.vertices() for T in ts.get(v.weight, ())
+    )
+
+
+def _shape_slots(universe: Universe):
+    """Every (S, T, v) over the all-1-weight shapes: host, inserted tree and
+    a vertex of the host."""
+    t_shapes = universe.shapes("t")
+    return ((S, T, v) for S in universe.shapes("s") for T in t_shapes for v in S.vertices())
+
+
 def check_nested_associativity(universe: Universe | None = None, fault: bool = False) -> CheckReport:
     """Composing into a slot of the inserted tree agrees with composing the
     inserted tree first, exhaustively over weight-compatible triples."""
     universe = universe or DEFAULT_TRIPLE_UNIVERSE
-    compose = _composer(_bump_nonminimal_plus_one) if fault else compose_lambda
-    rec = _Recorder("nested-associativity")
+    compose = _faulty_compose(0, lambda S: 1) if fault else compose_lambda
 
     def holds(S, T, U):
         for v in S.vertices():
@@ -433,41 +418,27 @@ def check_nested_associativity(universe: Universe | None = None, fault: bool = F
                     return False
         return True
 
-    ss = universe.trees("s")
     ts = _group_by_weight(universe.trees("t"))
     us = _group_by_weight(universe.trees("u"))
-    for S in ss:
-        if rec.saturated:
-            break
-        slot_weights = {node.weight for _, node in S.walk()}
-        for wt in slot_weights:
-            for T in ts.get(wt, ()):
-                inner_weights = {node.weight for _, node in T.walk()}
-                for wu in inner_weights:
-                    for U in us.get(wu, ()):
-                        rec.saw()
-                        if not holds(S, T, U):
-                            small = shrink_instance((S, T, U), lambda c: not holds(*c))
-                            rec.fail(
-                                f"S={small[0].encoding} T={small[1].encoding} U={small[2].encoding}"
-                            )
-                            if rec.saturated:
-                                break
-                    if rec.saturated:
-                        break
-                if rec.saturated:
-                    break
-            if rec.saturated:
-                break
-    return rec.report()
+    triples = (
+        (S, T, U)
+        for S in universe.trees("s")
+        for wt in {node.weight for _, node in S.walk()}
+        for T in ts.get(wt, ())
+        for wu in {node.weight for _, node in T.walk()}
+        for U in us.get(wu, ())
+    )
+    return _run("nested-associativity", map(_law(holds, "STU"), triples))
 
 
 def check_disjoint_associativity(universe: Universe | None = None, fault: bool = False) -> CheckReport:
     """Composing into two different slots of the same host commutes,
     exhaustively over weight-compatible triples."""
     universe = universe or DEFAULT_TRIPLE_UNIVERSE
-    compose = _composer(_bump_host_scaled) if fault else compose_lambda
-    rec = _Recorder("disjoint-associativity")
+    # A plain +1 on non-root maps is provably invisible to the disjoint law
+    # (the pairing of maps preserves per-map minimality), so this bug scales
+    # with the host size instead.
+    compose = _faulty_compose(0, lambda S: S.size - 1) if fault else compose_lambda
 
     def holds(S, T, U):
         # The law is symmetric in (v, T) <-> (w, U), so unordered slot pairs
@@ -490,66 +461,46 @@ def check_disjoint_associativity(universe: Universe | None = None, fault: bool =
                     return False
         return True
 
-    ss = [S for S in universe.trees("s") if S.size >= 2]
     ts = _group_by_weight(universe.trees("t"))
     us = _group_by_weight(universe.trees("u"))
-    for S in ss:
-        if rec.saturated:
-            break
-        weights = sorted({node.weight for _, node in S.walk()})
-        for wt in weights:
-            for wu in weights:
-                if wu < wt:
-                    continue
-                for T in ts.get(wt, ()):
-                    for U in us.get(wu, ()):
-                        rec.saw()
-                        if not holds(S, T, U):
-                            small = shrink_instance((S, T, U), lambda c: not holds(*c))
-                            rec.fail(
-                                f"S={small[0].encoding} T={small[1].encoding} U={small[2].encoding}"
-                            )
-                            if rec.saturated:
-                                break
-                    if rec.saturated:
-                        break
-                if rec.saturated:
-                    break
-            if rec.saturated:
-                break
-    return rec.report()
+    triples = (
+        (S, T, U)
+        for S in universe.trees("s")
+        if S.size >= 2
+        for wt, wu in itertools.combinations_with_replacement(
+            sorted({node.weight for _, node in S.walk()}), 2
+        )
+        for T in ts.get(wt, ())
+        for U in us.get(wu, ())
+    )
+    return _run("disjoint-associativity", map(_law(holds, "STU"), triples))
 
 
 def check_unit_laws(universe: Universe | None = None, fault: bool = False) -> CheckReport:
     """One-vertex trees of matching weight act as left and right identity."""
-    from .operad import _fresh_label, unit
-    from .trees import VertexRef
-
     universe = universe or DEFAULT_TRIPLE_UNIVERSE
-    rec = _Recorder("unit-laws")
-    compose = _composer(_bump_all_plus_one) if fault else None
-    for T in universe.trees("a"):
-        rec.saw()
-        if fault:
-            u = unit(T.total_weight, _fresh_label(T.labels))
-            left = compose(u, VertexRef(u, ()), T)
-        else:
-            left = compose_unit_left(T.total_weight, T)
-        if left != TreeCombination.of(T):
-            rec.fail(f"left unit on T={T.encoding}")
-        mismatched = compose_unit_left(T.total_weight + 1, T)
-        if mismatched:
-            rec.fail(f"weight-mismatched left unit not zero on T={T.encoding}")
+    if fault:
+        compose = _faulty_compose(1, lambda S: 1)
+
+        def left_unit(n, T):
+            u = unit(n, _fresh_label(T.labels))
+            return compose(u, u.ref(u.label), T)
+
+        def right_unit(T, v):
+            return compose(T, v, unit(v.weight, v.label))
+    else:
+        left_unit, right_unit = compose_unit_left, compose_unit_right
+
+    def failures(T):
+        if left_unit(T.total_weight, T) != TreeCombination.of(T):
+            yield f"left unit on T={T.encoding}"
+        if compose_unit_left(T.total_weight + 1, T):
+            yield f"weight-mismatched left unit not zero on T={T.encoding}"
         for v in T.vertices():
-            if fault:
-                right = compose(T, v, unit(v.weight, v.label))
-            else:
-                right = compose_unit_right(T, v)
-            if right != TreeCombination.of(T):
-                rec.fail(f"right unit on T={T.encoding} at v={v.label}")
-        if rec.saturated:
-            break
-    return rec.report()
+            if right_unit(T, v) != TreeCombination.of(T):
+                yield f"right unit on T={T.encoding} at v={v.label}"
+
+    return _run("unit-laws", map(failures, universe.trees("a")))
 
 
 def check_equivariance(
@@ -558,83 +509,58 @@ def check_equivariance(
     """Relabeling commutes with composition: rename first or compose first."""
     universe = universe or DEFAULT_TRIPLE_UNIVERSE
     rng = random.Random(seed)
-    rec = _Recorder("equivariance")
     pool = [f"p{i}" for i in range(40)]
-    ts = _group_by_weight(universe.trees("t"))
-    for S in universe.trees("s"):
-        for v in S.vertices():
-            for T in ts.get(v.weight, ()):
-                rec.saw()
-                names = rng.sample(pool, len(S.labels) + len(T.labels))
-                sigma = dict(zip(sorted(S.labels), names[: len(S.labels)]))
-                tau = dict(zip(sorted(T.labels), names[len(S.labels):]))
-                S2 = relabel(S, sigma)
-                T2 = relabel(T, tau)
-                left = compose_lambda(S2, S2.ref(sigma[v.label]), T2)
-                combined = {**{k: w for k, w in sigma.items() if k != v.label}, **tau}
-                if fault:
-                    # relabel-bookkeeping bug: two renamed vertices swapped
-                    keys = sorted(combined)
-                    if len(keys) >= 2:
-                        a, b = keys[0], keys[1]
-                        combined[a], combined[b] = combined[b], combined[a]
-                base = compose_lambda(S, v, T)
-                right = TreeCombination(
-                    tuple((relabel(term, combined), coeff) for term, coeff in base.terms())
-                )
-                if left != right:
-                    rec.fail(f"S={S.encoding} v={v.label} T={T.encoding}")
-                if rec.saturated:
-                    break
-            if rec.saturated:
-                break
-        if rec.saturated:
-            break
-    return rec.report()
+
+    def failures(S, v, T):
+        names = rng.sample(pool, len(S.labels) + len(T.labels))
+        sigma = dict(zip(sorted(S.labels), names[: len(S.labels)]))
+        tau = dict(zip(sorted(T.labels), names[len(S.labels):]))
+        S2 = relabel(S, sigma)
+        T2 = relabel(T, tau)
+        left = compose_lambda(S2, S2.ref(sigma[v.label]), T2)
+        combined = {**{k: w for k, w in sigma.items() if k != v.label}, **tau}
+        if fault:
+            # relabel-bookkeeping bug: two renamed vertices swapped
+            keys = sorted(combined)
+            if len(keys) >= 2:
+                a, b = keys[0], keys[1]
+                combined[a], combined[b] = combined[b], combined[a]
+        base = compose_lambda(S, v, T)
+        right = TreeCombination(
+            tuple((relabel(term, combined), coeff) for term, coeff in base.terms())
+        )
+        if left != right:
+            yield f"S={S.encoding} v={v.label} T={T.encoding}"
+
+    return _run("equivariance", itertools.starmap(failures, _slots(universe)))
 
 
 def check_minimality(universe: Universe | None = None, fault: bool = False) -> CheckReport:
     """Exponents are nonnegative and vanish exactly on the root map when the
     inserted tree has at least two vertices and branches actually move."""
     universe = universe or DEFAULT_TRIPLE_UNIVERSE
-    rec = _Recorder("root-map-minimality")
-    bump = _bump_all_plus_one if fault else _bump_none
-    ts = _group_by_weight(universe.trees("t"))
-    for S in universe.trees("s"):
-        for v in S.vertices():
-            for T in ts.get(v.weight, ()):
-                rec.saw()
-                base = compose_with_map(S, v, T, GraftMap.root_map(S, v, T))
-                d0 = base.energy
-                zero_exponents = 0
-                total = 0
-                for f in iter_graft_maps(S, v, T):
-                    tree = compose_with_map(S, v, T, f)
-                    exp = tree.energy - d0 + bump(f.is_minimal(), S)
-                    total += 1
-                    if exp < 0:
-                        rec.fail(f"negative exponent S={S.encoding} v={v.label} T={T.encoding}")
-                    if exp == 0:
-                        zero_exponents += 1
-                if T.size >= 2 and v.node.children and zero_exponents != 1:
-                    rec.fail(
-                        f"minimal map not unique S={S.encoding} v={v.label} T={T.encoding}"
-                    )
-                if rec.saturated:
-                    break
-            if rec.saturated:
-                break
-        if rec.saturated:
-            break
-    return rec.report()
+    bump = 1 if fault else 0
+
+    def failures(S, v, T):
+        d0 = compose_with_map(S, v, T, GraftMap.root_map(S, v, T)).energy
+        zero_exponents = 0
+        for f in iter_graft_maps(S, v, T):
+            exp = compose_with_map(S, v, T, f).energy - d0 + bump
+            if exp < 0:
+                yield f"negative exponent S={S.encoding} v={v.label} T={T.encoding}"
+            if exp == 0:
+                zero_exponents += 1
+        if T.size >= 2 and v.node.children and zero_exponents != 1:
+            yield f"minimal map not unique S={S.encoding} v={v.label} T={T.encoding}"
+
+    return _run("root-map-minimality", itertools.starmap(failures, _slots(universe)))
 
 
 def check_deformed_identity(universe: Universe | None = None, fault: bool = False) -> CheckReport:
     """The symbolic grafting identity: the weighted associator of the graft
     product is symmetric in its last two arguments."""
     universe = universe or Universe(3, 2)
-    arrow = (lambda a, b: _arrow_variant(a, b, 1)) if fault else arrow_lambda
-    rec = _Recorder("deformed-identity")
+    arrow = _faulty_arrow if fault else arrow_lambda
 
     def holds(U, T, S):
         lam_s = LambdaPoly.monomial(S.total_weight)
@@ -643,37 +569,33 @@ def check_deformed_identity(universe: Universe | None = None, fault: bool = Fals
         rhs = arrow(arrow(U, S), T) - lam_t * arrow(U, arrow(S, T))
         return lhs == rhs
 
-    pool = universe.unlabeled_trees()
-    for U, T, S in itertools.product(pool, repeat=3):
-        rec.saw()
-        if not holds(U, T, S):
-            small = shrink_instance((U, T, S), lambda c: not holds(*c))
-            rec.fail(f"U={small[0].encoding} T={small[1].encoding} S={small[2].encoding}")
-            if rec.saturated:
-                break
-
-    if not fault:
+    def oracle_failures(U, T, S):
         # Parameter 1, all weights 1: the classical right pre-Lie identity,
         # cross-checked against the shape oracle.
+        u, t, s = tree_shape(U), tree_shape(T), tree_shape(S)
+        ut = oracle_graft_counts(u, t)
+        us = oracle_graft_counts(u, s)
+        ts_ = oracle_graft_counts(t, s)
+        st = oracle_graft_counts(s, t)
+        lhs = _count_add(oracle_graft_product(ut, s), _sum_graft(u, ts_), -1)
+        rhs = _count_add(oracle_graft_product(us, t), _sum_graft(u, st), -1)
+        if lhs != rhs:
+            yield f"oracle identity U={U.encoding} T={T.encoding} S={S.encoding}"
+        lib = arrow_lambda(U, T).specialize(Fraction(1))
+        lib_counts: dict = {}
+        for term, coeff in lib._terms.items():
+            lib_counts[tree_shape(term)] = int(coeff.coefficient(0))
+        if lib_counts != ut:
+            yield f"graft vs oracle U={U.encoding} T={T.encoding}"
+
+    pool = universe.unlabeled_trees()
+    stream = map(_law(holds, "UTS"), itertools.product(pool, repeat=3))
+    if not fault:
         ones = [t for t in pool if t.total_weight == t.size]
-        for U, T, S in itertools.product(ones, repeat=3):
-            rec.saw()
-            u, t, s = tree_shape(U), tree_shape(T), tree_shape(S)
-            ut = oracle_graft_counts(u, t)
-            us = oracle_graft_counts(u, s)
-            ts_ = oracle_graft_counts(t, s)
-            st = oracle_graft_counts(s, t)
-            lhs = _count_add(oracle_graft_product(ut, s), _sum_graft(u, ts_), -1)
-            rhs = _count_add(oracle_graft_product(us, t), _sum_graft(u, st), -1)
-            if lhs != rhs:
-                rec.fail(f"oracle identity U={U.encoding} T={T.encoding} S={S.encoding}")
-            lib = arrow_lambda(U, T).specialize(Fraction(1))
-            lib_counts: dict = {}
-            for term, coeff in lib._terms.items():
-                lib_counts[tree_shape(term)] = int(coeff.coefficient(0))
-            if lib_counts != ut:
-                rec.fail(f"graft vs oracle U={U.encoding} T={T.encoding}")
-    return rec.report()
+        stream = itertools.chain(
+            stream, itertools.starmap(oracle_failures, itertools.product(ones, repeat=3))
+        )
+    return _run("deformed-identity", stream)
 
 
 def _sum_graft(u: Shape, counts: dict) -> dict:
@@ -688,79 +610,64 @@ def check_specializations(universe: Universe | None = None, fault: bool = False)
     flattens to the classical all-maps composition, both matched against the
     parent-map oracle."""
     universe = universe or DEFAULT_PAIR_UNIVERSE
-    compose = _composer(_bump_all_plus_one) if fault else compose_lambda
-    rec = _Recorder("specializations")
-    s_shapes = universe.shapes("s")
-    t_shapes = universe.shapes("t")
-    for S in s_shapes:
-        if rec.saturated:
-            break
-        for T in t_shapes:
-            for v in S.vertices():
-                rec.saw()
-                Sg = reweight(
-                    S,
-                    {lab: (T.total_weight if lab == v.label else 1) for lab in S.labels},
-                )
-                vg = Sg.ref(v.label)
-                full = compose(Sg, vg, T)
-                at_zero = full.specialize(Fraction(0))
-                expected_zero = TreeCombination.of(oracle_compose_root(Sg, v.label, T))
-                if at_zero != expected_zero:
-                    rec.fail(f"parameter-0 S={Sg.encoding} v={v.label} T={T.encoding}")
-                if at_zero and next(iter(at_zero._terms)) != nap_compose(Sg, vg, T):
-                    rec.fail(f"root-only composition S={Sg.encoding} v={v.label} T={T.encoding}")
-                at_one = full.specialize(Fraction(1))
-                expected_one = TreeCombination(
-                    (term, 1) for term in oracle_compose_terms(Sg, v.label, T)
-                )
-                if at_one != expected_one:
-                    rec.fail(f"parameter-1 S={Sg.encoding} v={v.label} T={T.encoding}")
-                if rec.saturated:
-                    break
-            if rec.saturated:
-                break
+    compose = _faulty_compose(1, lambda S: 1) if fault else compose_lambda
 
-    if not fault:
+    def failures(S, T, v):
+        Sg = reweight(
+            S,
+            {lab: (T.total_weight if lab == v.label else 1) for lab in S.labels},
+        )
+        vg = Sg.ref(v.label)
+        full = compose(Sg, vg, T)
+        at_zero = full.specialize(Fraction(0))
+        expected_zero = TreeCombination.of(oracle_compose_root(Sg, v.label, T))
+        if at_zero != expected_zero:
+            yield f"parameter-0 S={Sg.encoding} v={v.label} T={T.encoding}"
+        if at_zero and next(iter(at_zero._terms)) != nap_compose(Sg, vg, T):
+            yield f"root-only composition S={Sg.encoding} v={v.label} T={T.encoding}"
+        at_one = full.specialize(Fraction(1))
+        expected_one = TreeCombination(
+            (term, 1) for term in oracle_compose_terms(Sg, v.label, T)
+        )
+        if at_one != expected_one:
+            yield f"parameter-1 S={Sg.encoding} v={v.label} T={T.encoding}"
+
+    def weighted_failures(S, v, T):
         # Weighted sweep: wherever a slot weight matches, parameter 0 picks
         # out exactly the root-only composition.
-        ts = _group_by_weight(universe.trees("t"))
-        for S in universe.trees("s"):
-            for v in S.vertices():
-                for T in ts.get(v.weight, ()):
-                    rec.saw()
-                    at_zero = compose_lambda(S, v, T).specialize(Fraction(0))
-                    if at_zero != TreeCombination.of(nap_compose(S, v, T)):
-                        rec.fail(f"weighted parameter-0 S={S.encoding} v={v.label} T={T.encoding}")
-    return rec.report()
+        at_zero = compose_lambda(S, v, T).specialize(Fraction(0))
+        if at_zero != TreeCombination.of(nap_compose(S, v, T)):
+            yield f"weighted parameter-0 S={S.encoding} v={v.label} T={T.encoding}"
+
+    stream = itertools.starmap(failures, _shape_slots(universe))
+    if not fault:
+        stream = itertools.chain(stream, itertools.starmap(weighted_failures, _slots(universe)))
+    return _run("specializations", stream)
 
 
 def check_roundtrip_psi_phi(universe: Universe | None = None, fault: bool = False) -> CheckReport:
     """phi inverts psi exactly, for every tree and every root branch order."""
     universe = universe or DEFAULT_PAIR_UNIVERSE
-    rec = _Recorder("bracket-roundtrip")
     if fault:
-        faulty_arrow = lambda a, b: _arrow_variant(a, b, 1)
-        evaluate = lambda combo: _phi_with_arrow(combo, faulty_arrow)
+        # A memo of its own, so the faulty products never reach phi's.
+        memo: dict = {}
+        evaluate = lambda combo: _evaluate(combo, _faulty_arrow, memo)
     else:
         evaluate = phi
-    for T in universe.trees("x"):
-        rec.saw()
+
+    def failures(T):
         expected = TreeCombination.of(T)
         if evaluate(psi(T)) != expected:
-            rec.fail(f"roundtrip T={T.encoding}")
-            if rec.saturated:
-                break
-            continue
+            yield f"roundtrip T={T.encoding}"
+            return
         p = len(T.children)
         if p >= 2:
             for order in itertools.permutations(range(p)):
                 if evaluate(psi(T, order)) != expected:
-                    rec.fail(f"branch order {order} on T={T.encoding}")
-                    break
-        if rec.saturated:
-            break
-    return rec.report()
+                    yield f"branch order {order} on T={T.encoding}"
+                    return
+
+    return _run("bracket-roundtrip", map(failures, universe.trees("x")))
 
 
 def check_morphisms_i_j(
@@ -769,30 +676,20 @@ def check_morphisms_i_j(
     """Truncated morphism equalities for the classical-to-graded embeddings,
     checked both for the all-maps and the root-only composition."""
     universe = universe or Universe(3, 1)
-    rec = _Recorder("morphism-truncations")
-    s_shapes = universe.shapes("s")
-    t_shapes = universe.shapes("t")
-    for S in s_shapes:
-        if rec.saturated:
-            break
-        for T in t_shapes:
-            for v in S.vertices():
-                rec.saw()
-                if fault:
-                    # off-by-one in the weight split between host slot and
-                    # inserted tree
-                    if not _morphism_check(S, T, v, weight_bound, 1, offset=1):
-                        rec.fail(f"S={S.encoding} v={v.label} T={T.encoding}")
-                else:
-                    if not morphism_i_check(S, T, v, weight_bound):
-                        rec.fail(f"all-maps morphism S={S.encoding} v={v.label} T={T.encoding}")
-                    if not morphism_j_check(S, T, v, weight_bound):
-                        rec.fail(f"root-only morphism S={S.encoding} v={v.label} T={T.encoding}")
-                if rec.saturated:
-                    break
-            if rec.saturated:
-                break
-    return rec.report()
+
+    def failures(S, T, v):
+        if fault:
+            # off-by-one in the weight split between host slot and
+            # inserted tree
+            if not _morphism_check(S, T, v, weight_bound, 1, offset=1):
+                yield f"S={S.encoding} v={v.label} T={T.encoding}"
+            return
+        if not morphism_i_check(S, T, v, weight_bound):
+            yield f"all-maps morphism S={S.encoding} v={v.label} T={T.encoding}"
+        if not morphism_j_check(S, T, v, weight_bound):
+            yield f"root-only morphism S={S.encoding} v={v.label} T={T.encoding}"
+
+    return _run("morphism-truncations", itertools.starmap(failures, _shape_slots(universe)))
 
 
 SUITES = {

@@ -3,17 +3,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graftop import (
     LAMBDA,
     LambdaPoly,
+    ParseError,
     TreeCombination,
     TreeError,
     combo_add,
     combo_scale,
     combo_sub,
+    parse_bracket,
     parse_poly,
     parse_tree,
     poly_eval,
@@ -131,6 +133,35 @@ def test_poly_format(p, text):
 
 def test_poly_parse_accepts_unicode_lambda():
     assert parse_poly("1 + 2*λ^3") == parse_poly("1 + 2*L^3")
+
+
+@pytest.mark.parametrize("text, offset", [("1/0", 0), ("3/0*L^2", 0), ("L + 2/00*L", 3)])
+def test_poly_parse_rejects_zero_denominator(text, offset):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text)
+    assert info.value.position == offset
+
+
+# Each parser's grammar characters, plus a superscript digit and a
+# non-ASCII letter that string predicates such as isdigit() accept.
+PARSER_ALPHABETS = [
+    (parse_tree, "ab_19:0[], ²é"),
+    (parse_bracket, "xy_190() ²é"),
+    (parse_poly, "0123/+*-L^λ ²"),
+]
+
+
+@pytest.mark.parametrize("parse, alphabet", PARSER_ALPHABETS)
+def test_parsers_raise_only_parse_error(parse, alphabet):
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=alphabet, max_size=40))
+    def check(text):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+    check()
 
 
 @given(polys)

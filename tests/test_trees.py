@@ -27,6 +27,7 @@ from graftop import (
     strip_labels,
     weight,
 )
+from graftop.trees import _LABEL_CHARS, _is_label
 from graftop.verify import Universe
 
 CAYLEY = {1: 1, 2: 2, 3: 9, 4: 64, 5: 625, 6: 7776}
@@ -191,6 +192,24 @@ def test_mode_mixing_rejected():
         WeightedTree("_", 1, (WeightedTree("a", 1),))
 
 
+@given(st.one_of(st.text(max_size=6), st.sampled_from(["_", "a_1", "Z9", "x y", "\u00e9", "\u0663"])))
+def test_label_check_matches_the_label_alphabet(label):
+    # reference: every character drawn from the label alphabet
+    valid = bool(label) and set(label) <= _LABEL_CHARS
+    assert _is_label(label) == valid
+    if not valid:
+        with pytest.raises(TreeError, match="invalid label"):
+            WeightedTree(label, 1)
+
+
+def test_non_string_labels_rejected():
+    assert not _is_label(5) and not _is_label(None)
+    with pytest.raises(TreeError, match="invalid label"):
+        WeightedTree(5, 1)
+    with pytest.raises(TreeError, match="invalid generator label"):
+        Generator(5, 1)
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(TreeError):
         WeightedTree("a", 1, (WeightedTree("a", 2),))
@@ -346,6 +365,9 @@ def test_parse_print_roundtrip_unlabeled(t):
         ("a:1[b:2", 7),
         ("a:1]", 3),
         ("a:1[b:2,]", 8),
+        # non-ASCII digits are not weights
+        ("a:\u00b2", 2),
+        ("a:1[b:\u0663]", 6),
     ],
 )
 def test_parse_errors_carry_positions(bad, pos):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from graftop import parse_tree
+from graftop import parse_tree, verify
 from graftop.verify import (
     CheckReport,
     Universe,
@@ -108,6 +108,47 @@ def test_fault_injection_is_detected(check, universe):
     report = check(universe, fault=True)
     assert report.failure_count >= 1
     assert report.counterexamples
+
+
+# Each gate that injects an exponent fault, the production operation it
+# perturbs, and a universe where the fault shows.
+PRODUCTION_FAULTS = [
+    (check_nested_associativity, Universe(3, 3), "compose_lambda"),
+    (check_disjoint_associativity, TRIPLE, "compose_lambda"),
+    (check_unit_laws, SMALL, "compose_lambda"),
+    (check_specializations, SMALL, "compose_lambda"),
+    (check_deformed_identity, SMALL, "arrow_lambda"),
+    (check_roundtrip_psi_phi, Universe(3, 2), "arrow_lambda"),
+]
+
+
+@pytest.mark.parametrize("check, universe, operation", PRODUCTION_FAULTS)
+def test_fault_gates_perturb_the_production_operation(monkeypatch, check, universe, operation):
+    original = getattr(verify, operation)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verify, operation, counting)
+    report = check(universe, fault=True)
+    assert calls, f"{check.__name__} fault gate never called {operation}"
+    assert report.failure_count >= 1 and report.counterexamples
+
+
+@pytest.mark.parametrize("check", [check for check, _, _ in PRODUCTION_FAULTS])
+def test_fault_gates_pass_without_the_raised_exponents(monkeypatch, check):
+    # with the perturbation removed, a fault gate runs the clean operation
+    monkeypatch.setattr(verify, "_raised", lambda combo, root, rest: combo)
+    report = check(SMALL, fault=True)
+    assert report.ok, report.summary()
+
+
+def test_clean_suite_instance_counts():
+    reports = run_suite("all", SMALL)
+    assert [r.instances for r in reports] == [42, 72, 10, 36, 36, 224, 51, 10, 15]
+    assert all(r.ok for r in reports)
 
 
 def test_fault_injection_detected_by_morphisms():
