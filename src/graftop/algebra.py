@@ -296,6 +296,17 @@ class Combination:
         obj._terms = terms
         return obj
 
+    @classmethod
+    def _sum(cls, parts, acc: dict | None = None):
+        """Sum ``coeff * combo`` over the ``(coeff, combo)`` pairs of ``parts``
+        into the term dict ``acc`` (a new one by default), which the result
+        owns; an unvalidated fast path like ``_raw``, for LambdaPoly coeffs."""
+        acc = {} if acc is None else acc
+        for coeff, combo in parts:
+            for term, c in combo._terms.items():
+                accumulate(acc, term, coeff * c)
+        return cls._raw(acc)
+
     @staticmethod
     def _sort_key(term):
         return str(term)

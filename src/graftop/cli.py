@@ -134,12 +134,16 @@ def _cmd_dims(args) -> int:
 
 
 def _dims_by_weight(n: int, wmax: int, dim: int) -> list[tuple[int, int]]:
-    import itertools
-
-    counts: dict[int, int] = {}
-    for vec in itertools.product(range(1, wmax + 1), repeat=n):
-        counts[sum(vec)] = counts.get(sum(vec), 0) + 1
-    return [(total, counts[total] * dim) for total in sorted(counts)]
+    """``(total, count * dim)`` per total weight, where count, the number of
+    weight vectors in {1..wmax}^n with that total, is a coefficient of (x + ... + x**wmax)**n."""
+    counts = [1]  # coefficient of x**(rounds + i) at index i
+    for _ in range(n):
+        product = [0] * (len(counts) + wmax - 1)
+        for i, c in enumerate(counts):
+            for j in range(i, i + wmax):
+                product[j] += c
+        counts = product
+    return [(n + i, c * dim) for i, c in enumerate(counts)]
 
 
 def _cmd_check(args) -> int:
@@ -278,9 +282,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-run = main
 
 
 if __name__ == "__main__":

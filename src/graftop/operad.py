@@ -65,9 +65,6 @@ class GraftMap:
             )
         return cls(tuple(T.ref(mapping[lab]) for lab in branch_labels))
 
-    def is_minimal(self) -> bool:
-        return all(r.path == () for r in self.targets)
-
 
 def iter_graft_maps(S: WeightedTree, v: VertexRef, T: WeightedTree) -> Iterator[GraftMap]:
     """All maps from the child edges of v into the vertices of T."""
@@ -188,15 +185,13 @@ def _as_combination(x) -> TreeCombination:
 def compose_at_label(x, label: str, y) -> TreeCombination:
     """Bilinear extension of compose_lambda, slot selected by label in every
     term of x."""
-    acc: dict = {}
     ys = _as_combination(y)._terms
-    for s, cs in _as_combination(x)._terms.items():
-        v = s.ref(label)
-        for t, ct in ys.items():
-            scale = cs * ct
-            for tree, coeff in compose_lambda(s, v, t)._terms.items():
-                accumulate(acc, tree, scale * coeff)
-    return TreeCombination._raw(acc)
+    return TreeCombination._sum(
+        (cs * ct, compose_lambda(s, v, t))
+        for s, cs in _as_combination(x)._terms.items()
+        for v in (s.ref(label),)
+        for t, ct in ys.items()
+    )
 
 
 def _fresh_label(taken, base="u"):
@@ -309,15 +304,13 @@ def butcher_product(T: WeightedTree, S: WeightedTree) -> WeightedTree:
 def circ_sum(T, S) -> TreeCombination:
     """Sum of the graded compositions of S into every vertex of T; only
     vertices whose weight equals S's total weight contribute."""
-    acc: dict = {}
     ss = _as_combination(S)._terms
-    for t, ct in _as_combination(T)._terms.items():
-        for s, cs in ss.items():
-            scale = ct * cs
-            for v in t.vertices():
-                for tree, coeff in compose_lambda(t, v, s)._terms.items():
-                    accumulate(acc, tree, scale * coeff)
-    return TreeCombination._raw(acc)
+    return TreeCombination._sum(
+        (ct * cs, compose_lambda(t, v, s))
+        for t, ct in _as_combination(T)._terms.items()
+        for s, cs in ss.items()
+        for v in t.vertices()
+    )
 
 
 def nap_compose(S: WeightedTree, v: VertexRef, T: WeightedTree) -> WeightedTree:
@@ -382,14 +375,13 @@ def _morphism_check(
     for u, c in classical._terms.items():
         for assignment in _weightings(u, weight_bound):
             accumulate(lhs, reweight(u, assignment), c)
-    rhs: dict = {}
-    for alpha in _weightings(S, weight_bound):
-        Sa = reweight(S, alpha)
-        for beta in _weightings_exact(T, alpha[v.label] + offset):
-            graded = compose_lambda(Sa, Sa.ref(v.label), reweight(T, beta))
-            for tree, c in graded.specialize(value)._terms.items():
-                accumulate(rhs, tree, c)
-    return lhs == rhs
+    rhs = TreeCombination._sum(
+        (monomial(0), compose_lambda(Sa, Sa.ref(v.label), reweight(T, beta)).specialize(value))
+        for alpha in _weightings(S, weight_bound)
+        for Sa in (reweight(S, alpha),)
+        for beta in _weightings_exact(T, alpha[v.label] + offset)
+    )
+    return lhs == rhs._terms
 
 
 def morphism_i_check(S: WeightedTree, T: WeightedTree, v: VertexRef, weight_bound: int) -> bool:

@@ -16,14 +16,30 @@ import threading
 from dataclasses import dataclass, field
 from typing import Union
 
-from .algebra import Combination, LambdaPoly, TreeCombination, accumulate, monomial
+from .algebra import Combination, LambdaPoly, TreeCombination, monomial
 from .errors import ParseError, TreeError
 from .operad import arrow_lambda
-from .trees import _LABEL_CHARS, UNLABELED, WeightedTree, _is_label
+from .trees import _LABEL_CHARS, UNLABELED, WeightedTree, _is_label, _Scanner
+
+
+class _Bracket:
+    """Equality, hashing and printing of bracket expressions, by ``encoding``."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Bracket) and self.encoding == other.encoding
+
+    def __hash__(self):
+        return hash(self.encoding)
+
+    def __repr__(self):
+        return f"<bracket {self.encoding}>"
+
+    def __str__(self):
+        return self.encoding
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Generator:
+class Generator(_Bracket):
     """A generator leaf: one label with one weight."""
 
     label: str
@@ -39,21 +55,9 @@ class Generator:
         object.__setattr__(self, "encoding", f"{self.label}_{self.weight}")
         object.__setattr__(self, "labels", frozenset((self.label,)))
 
-    def __eq__(self, other):
-        return isinstance(other, (Generator, Pair)) and self.encoding == other.encoding
-
-    def __hash__(self):
-        return hash(self.encoding)
-
-    def __repr__(self):
-        return f"<bracket {self.encoding}>"
-
-    def __str__(self):
-        return self.encoding
-
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Pair:
+class Pair(_Bracket):
     """An ordered binary product of two bracket expressions."""
 
     left: "BracketExpr"
@@ -67,18 +71,6 @@ class Pair:
             raise TreeError(f"repeated generator labels {sorted(clash)} in one expression")
         object.__setattr__(self, "encoding", f"({self.left.encoding} {self.right.encoding})")
         object.__setattr__(self, "labels", self.left.labels | self.right.labels)
-
-    def __eq__(self, other):
-        return isinstance(other, (Generator, Pair)) and self.encoding == other.encoding
-
-    def __hash__(self):
-        return hash(self.encoding)
-
-    def __repr__(self):
-        return f"<bracket {self.encoding}>"
-
-    def __str__(self):
-        return self.encoding
 
 
 BracketExpr = Union[Generator, Pair]
@@ -163,11 +155,9 @@ def _evaluate(x, arrow, memo: dict) -> TreeCombination:
     """phi with the grafting product ``arrow``, keeping the value of every
     product node in ``memo``."""
     if isinstance(x, BracketCombination):
-        acc: dict = {}
-        for expr, coeff in x._terms.items():
-            for tree, c in _evaluate(expr, arrow, memo)._terms.items():
-                accumulate(acc, tree, coeff * c)
-        return TreeCombination._raw(acc)
+        return TreeCombination._sum(
+            (coeff, _evaluate(expr, arrow, memo)) for expr, coeff in x._terms.items()
+        )
     if isinstance(x, Generator):
         return TreeCombination.of(WeightedTree(x.label, x.weight))
     if isinstance(x, Pair):
@@ -190,11 +180,7 @@ def psi(x, branch_order: tuple[int, ...] | None = None) -> BracketCombination:
     if isinstance(x, TreeCombination):
         if branch_order is not None:
             raise TreeError("branch_order applies to a single tree")
-        acc: dict = {}
-        for tree, coeff in x._terms.items():
-            for expr, c in psi(tree)._terms.items():
-                accumulate(acc, expr, coeff * c)
-        return BracketCombination._raw(acc)
+        return BracketCombination._sum((coeff, psi(tree)) for tree, coeff in x._terms.items())
     if not isinstance(x, WeightedTree):
         raise TypeError(f"expected a tree or tree combination, got {type(x).__name__}")
     if not x.is_labeled:
@@ -223,16 +209,17 @@ def psi(x, branch_order: tuple[int, ...] | None = None) -> BracketCombination:
         # Recursion descends: head and first_branch lose vertices, the
         # correction trees keep the size but lose one root branch.
         assert head.size < x.size and first_branch.size < x.size
-        acc = dict(bracket_mul(psi(head), psi(first_branch))._terms)
         minus_lam = -monomial(first_branch.total_weight)
-        for j in range(len(rest)):
-            for grafted, coeff in arrow_lambda(rest[j], first_branch)._terms.items():
-                merged = corolla_assemble(root, rest[:j] + (grafted,) + rest[j + 1:])
-                assert len(merged.children) == p - 1
-                scale = minus_lam * coeff
-                for expr, c in psi(merged)._terms.items():
-                    accumulate(acc, expr, scale * c)
-        result = BracketCombination._raw(acc)
+
+        def corrections():
+            for j in range(len(rest)):
+                for grafted, coeff in arrow_lambda(rest[j], first_branch)._terms.items():
+                    merged = corolla_assemble(root, rest[:j] + (grafted,) + rest[j + 1:])
+                    assert len(merged.children) == p - 1
+                    yield minus_lam * coeff, psi(merged)
+
+        head_product = bracket_mul(psi(head), psi(first_branch))
+        result = BracketCombination._sum(corrections(), dict(head_product._terms))
 
     if branch_order is None:
         cache[x] = result
@@ -247,28 +234,14 @@ def psi_order_independence_check(
     return phi(psi(tree, order1)) == phi(psi(tree, order2))
 
 
-class _BracketParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str):
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expr(self) -> BracketExpr:
+class _BracketParser(_Scanner):
+    def top(self) -> BracketExpr:
         self.skip_ws()
         if self.peek() == "(":
             self.pos += 1
-            left = self.expr()
+            left = self.top()
             self.skip_ws()
-            right = self.expr()
+            right = self.top()
             self.skip_ws()
             if self.peek() != ")":
                 self.error("expected ')'")
@@ -278,9 +251,7 @@ class _BracketParser:
             except TreeError as exc:
                 raise ParseError(str(exc), self.pos) from exc
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _LABEL_CHARS:
-            self.pos += 1
-        word = self.text[start:self.pos]
+        word = self.take(_LABEL_CHARS)
         if not word:
             self.error("expected a generator or '('")
         label, _, w = word.rpartition("_")
@@ -292,15 +263,7 @@ class _BracketParser:
         except TreeError as exc:
             raise ParseError(str(exc), self.pos) from exc
 
-    def end(self):
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("unexpected trailing input")
-
 
 def parse_bracket(text: str) -> BracketExpr:
     """Parse ``((x_1 z_1) y_1)`` style bracket expressions."""
-    p = _BracketParser(text)
-    e = p.expr()
-    p.end()
-    return e
+    return _BracketParser.parse(text)

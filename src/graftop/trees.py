@@ -67,7 +67,9 @@ class WeightedTree:
     label are valid and that the children's labels are disjoint from each
     other and from ``label`` (or that all are ``_``).  The operations in
     ``operad`` and ``relabel``/``reweight``/``strip_labels`` call it only
-    after their argument checks have established that.
+    after their argument checks have established that, and the shrinker in
+    ``verify`` only for its reductions (drop a leaf, lower a weight above
+    1), which keep a valid tree valid.
     """
 
     __slots__ = (
@@ -387,10 +389,22 @@ def enumerate_unlabeled_trees(n: int, max_weight: int) -> list[WeightedTree]:
     return sorted(seen, key=lambda t: (t.size, t.encoding))
 
 
-class _TreeParser:
+class _Scanner:
+    """A cursor over parser input; a subclass's ``top`` reads one item."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+
+    @classmethod
+    def parse(cls, text: str):
+        """``top`` read from ``text``, which may end only in whitespace."""
+        p = cls(text)
+        item = p.top()
+        p.skip_ws()
+        if p.pos != len(text):
+            p.error("unexpected trailing input")
+        return item
 
     def error(self, message: str):
         raise ParseError(message, self.pos)
@@ -402,23 +416,28 @@ class _TreeParser:
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def word(self) -> str:
+    def take(self, chars) -> str:
+        """The longest run of ``chars`` at the cursor, consumed."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _LABEL_CHARS:
+        while self.pos < len(self.text) and self.text[self.pos] in chars:
             self.pos += 1
-        if self.pos == start:
-            self.error("expected a label")
         return self.text[start:self.pos]
 
-    def number(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a weight")
-        return int(self.text[start:self.pos])
 
-    def tree(self) -> WeightedTree:
+class _TreeParser(_Scanner):
+    def word(self) -> str:
+        word = self.take(_LABEL_CHARS)
+        if not word:
+            self.error("expected a label")
+        return word
+
+    def number(self) -> int:
+        digits = self.take(_DIGITS)
+        if not digits:
+            self.error("expected a weight")
+        return int(digits)
+
+    def top(self) -> WeightedTree:
         self.skip_ws()
         label = self.word()
         self.skip_ws()
@@ -431,11 +450,11 @@ class _TreeParser:
         children = []
         if self.peek() == "[":
             self.pos += 1
-            children.append(self.tree())
+            children.append(self.top())
             self.skip_ws()
             while self.peek() == ",":
                 self.pos += 1
-                children.append(self.tree())
+                children.append(self.top())
                 self.skip_ws()
             if self.peek() != "]":
                 self.error("expected ',' or ']'")
@@ -445,15 +464,7 @@ class _TreeParser:
         except TreeError as exc:
             raise ParseError(str(exc), self.pos) from exc
 
-    def end(self):
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("unexpected trailing input")
-
 
 def parse_tree(text: str) -> WeightedTree:
     """Parse ``label:weight[child,...]`` notation (whitespace insignificant)."""
-    p = _TreeParser(text)
-    t = p.tree()
-    p.end()
-    return t
+    return _TreeParser.parse(text)

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import LambdaPoly, TreeCombination, accumulate, monomial
+from .algebra import LambdaPoly, TreeCombination, monomial
 from .errors import TreeError
 from .operad import (
     GraftMap,
     _as_combination,
     _fresh_label,
     _morphism_check,
+    _replace_at,
     arrow_lambda,
     compose_lambda,
     compose_unit_left,
@@ -192,13 +193,12 @@ def _faulty_compose(root: int, rest):
 def _faulty_arrow(x, y) -> TreeCombination:
     """arrow_lambda, applied to each pair of terms, with every graft below
     the root raised by one power of L."""
-    acc: dict = {}
     ys = _as_combination(y)._terms
-    for t, ct in _as_combination(x)._terms.items():
-        for s, cs in ys.items():
-            for tree, c in _raised(arrow_lambda(t, s), 0, 1)._terms.items():
-                accumulate(acc, tree, ct * cs * c)
-    return TreeCombination._raw(acc)
+    return TreeCombination._sum(
+        (ct * cs, _raised(arrow_lambda(t, s), 0, 1))
+        for t, ct in _as_combination(x)._terms.items()
+        for s, cs in ys.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +232,14 @@ def _tree_of_parent_map(parents, weights) -> WeightedTree:
     return make(root)
 
 
-def oracle_compose_terms(S: WeightedTree, v_label: str, T: WeightedTree) -> list[WeightedTree]:
-    """All substitution results of T for the vertex v_label of S, one per
-    reattachment of v's children, by direct parent-map surgery."""
+def _oracle_substitutions(S: WeightedTree, v_label: str, T: WeightedTree, root_only: bool):
+    """See ``oracle_compose_terms``; ``root_only`` reattaches at T's root alone."""
     sp, sw = _parent_map(S)
     tp, tw = _parent_map(T)
+    targets = [lab for lab, par in tp.items() if par is None] if root_only else sorted(tp)
     moved = sorted(lab for lab, par in sp.items() if par == v_label)
     out = []
-    for assignment in itertools.product(sorted(tp), repeat=len(moved)):
+    for assignment in itertools.product(targets, repeat=len(moved)):
         parents = {lab: par for lab, par in sp.items() if lab != v_label}
         weights = {lab: w for lab, w in sw.items() if lab != v_label}
         for lab, par in tp.items():
@@ -251,19 +251,15 @@ def oracle_compose_terms(S: WeightedTree, v_label: str, T: WeightedTree) -> list
     return out
 
 
+def oracle_compose_terms(S: WeightedTree, v_label: str, T: WeightedTree) -> list[WeightedTree]:
+    """All substitution results of T for the vertex v_label of S, one per
+    reattachment of v's children, by direct parent-map surgery."""
+    return _oracle_substitutions(S, v_label, T, False)
+
+
 def oracle_compose_root(S: WeightedTree, v_label: str, T: WeightedTree) -> WeightedTree:
     """The substitution that reattaches every moved branch at T's root."""
-    sp, sw = _parent_map(S)
-    tp, tw = _parent_map(T)
-    t_root = next(lab for lab, par in tp.items() if par is None)
-    parents = {lab: par for lab, par in sp.items() if lab != v_label}
-    weights = {lab: w for lab, w in sw.items() if lab != v_label}
-    for lab, par in tp.items():
-        parents[lab] = par if par is not None else sp[v_label]
-        weights[lab] = tw[lab]
-    for lab in [l for l, par in sp.items() if par == v_label]:
-        parents[lab] = t_root
-    return _tree_of_parent_map(parents, weights)
+    return _oracle_substitutions(S, v_label, T, True)[0]
 
 
 Shape = tuple  # (weight, tuple of child shapes), recursively
@@ -300,11 +296,12 @@ def _count_add(out: dict, counts: dict, factor: int) -> dict:
     return out
 
 
-def oracle_graft_product(counts_t: dict, s: Shape) -> dict:
-    """Extend the shape graft linearly to integer combinations of shapes."""
+def oracle_graft_product(x: dict, y: dict) -> dict:
+    """Extend the shape graft bilinearly to integer combinations of shapes."""
     out: dict[Shape, int] = {}
-    for shape, n in counts_t.items():
-        _count_add(out, oracle_graft_counts(shape, s), n)
+    for a, m in x.items():
+        for b, n in y.items():
+            _count_add(out, oracle_graft_counts(a, b), m * n)
     return out
 
 
@@ -312,26 +309,16 @@ def oracle_graft_product(counts_t: dict, s: Shape) -> dict:
 # Shrinking.
 
 def _delete_at(tree: WeightedTree, path) -> WeightedTree:
-    def rebuild(node, p):
-        kids = list(node.children)
-        if len(p) == 1:
-            del kids[p[0]]
-        else:
-            kids[p[0]] = rebuild(kids[p[0]], p[1:])
-        return WeightedTree(node.label, node.weight, tuple(kids))
-
-    return rebuild(tree, path)
+    """``tree`` without the leaf at ``path``."""
+    node, i = tree.node_at(path[:-1]), path[-1]
+    kids = node.children[:i] + node.children[i + 1:]
+    return _replace_at(tree, path[:-1], WeightedTree._node(node.label, node.weight, kids))
 
 
 def _decrement_at(tree: WeightedTree, path) -> WeightedTree:
-    def rebuild(node, p):
-        if not p:
-            return WeightedTree(node.label, node.weight - 1, node.children)
-        kids = list(node.children)
-        kids[p[0]] = rebuild(kids[p[0]], p[1:])
-        return WeightedTree(node.label, node.weight, tuple(kids))
-
-    return rebuild(tree, path)
+    """``tree`` with the weight at ``path``, which is above 1, lowered by 1."""
+    node = tree.node_at(path)
+    return _replace_at(tree, path, WeightedTree._node(node.label, node.weight - 1, node.children))
 
 
 def _reductions(tree: WeightedTree):
@@ -406,14 +393,13 @@ def check_nested_associativity(universe: Universe | None = None, fault: bool = F
                 w = T.ref(w_label)
                 if U.total_weight != w.weight:
                     continue
-                lhs: dict = {}
-                for term, coeff in st._terms.items():
-                    for tree, c2 in compose(term, term.ref(w_label), U)._terms.items():
-                        accumulate(lhs, tree, coeff * c2)
-                rhs: dict = {}
-                for term, coeff in compose(T, w, U)._terms.items():
-                    for tree, c2 in compose(S, v, term)._terms.items():
-                        accumulate(rhs, tree, coeff * c2)
+                lhs = TreeCombination._sum(
+                    (coeff, compose(term, term.ref(w_label), U))
+                    for term, coeff in st._terms.items()
+                )
+                rhs = TreeCombination._sum(
+                    (coeff, compose(S, v, term)) for term, coeff in compose(T, w, U)._terms.items()
+                )
                 if lhs != rhs:
                     return False
         return True
@@ -449,14 +435,14 @@ def check_disjoint_associativity(universe: Universe | None = None, fault: bool =
                 w = S.ref(wa)
                 if Ta.total_weight != v.weight or Ua.total_weight != w.weight:
                     continue
-                lhs: dict = {}
-                for term, coeff in compose(S, v, Ta)._terms.items():
-                    for tree, c2 in compose(term, term.ref(wa), Ua)._terms.items():
-                        accumulate(lhs, tree, coeff * c2)
-                rhs: dict = {}
-                for term, coeff in compose(S, w, Ua)._terms.items():
-                    for tree, c2 in compose(term, term.ref(va), Ta)._terms.items():
-                        accumulate(rhs, tree, coeff * c2)
+                lhs = TreeCombination._sum(
+                    (coeff, compose(term, term.ref(wa), Ua))
+                    for term, coeff in compose(S, v, Ta)._terms.items()
+                )
+                rhs = TreeCombination._sum(
+                    (coeff, compose(term, term.ref(va), Ta))
+                    for term, coeff in compose(S, w, Ua)._terms.items()
+                )
                 if lhs != rhs:
                     return False
         return True
@@ -577,8 +563,8 @@ def check_deformed_identity(universe: Universe | None = None, fault: bool = Fals
         us = oracle_graft_counts(u, s)
         ts_ = oracle_graft_counts(t, s)
         st = oracle_graft_counts(s, t)
-        lhs = _count_add(oracle_graft_product(ut, s), _sum_graft(u, ts_), -1)
-        rhs = _count_add(oracle_graft_product(us, t), _sum_graft(u, st), -1)
+        lhs = _count_add(oracle_graft_product(ut, {s: 1}), oracle_graft_product({u: 1}, ts_), -1)
+        rhs = _count_add(oracle_graft_product(us, {t: 1}), oracle_graft_product({u: 1}, st), -1)
         if lhs != rhs:
             yield f"oracle identity U={U.encoding} T={T.encoding} S={S.encoding}"
         lib = arrow_lambda(U, T).specialize(Fraction(1))
@@ -596,13 +582,6 @@ def check_deformed_identity(universe: Universe | None = None, fault: bool = Fals
             stream, itertools.starmap(oracle_failures, itertools.product(ones, repeat=3))
         )
     return _run("deformed-identity", stream)
-
-
-def _sum_graft(u: Shape, counts: dict) -> dict:
-    out: dict[Shape, int] = {}
-    for shape, n in counts.items():
-        _count_add(out, oracle_graft_counts(u, shape), n)
-    return out
 
 
 def check_specializations(universe: Universe | None = None, fault: bool = False) -> CheckReport:

@@ -1,5 +1,6 @@
 """Command-line surface: golden outputs, JSON schema, exit codes."""
 
+import itertools
 import json
 
 import pytest
@@ -119,6 +120,31 @@ def test_dims_by_total_weight(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "2"
     assert lines[1:] == ["total=2 dim=2", "total=3 dim=4", "total=4 dim=2"]
+
+
+def test_dims_by_total_weight_matches_brute_force(capsys):
+    for n in range(1, 6):
+        dim = n ** (n - 1)
+        for wmax in range(1, 5):
+            counts = {}
+            for vec in itertools.product(range(1, wmax + 1), repeat=n):
+                counts[sum(vec)] = counts.get(sum(vec), 0) + 1
+            table = [[total, counts[total] * dim] for total in sorted(counts)]
+            code, out, _ = run(capsys, "dims", "-n", str(n), "--wmax", str(wmax))
+            assert code == 0
+            assert out.splitlines() == [str(dim)] + [f"total={t} dim={c}" for t, c in table]
+            code, out, _ = run(capsys, "dims", "-n", str(n), "--wmax", str(wmax), "--json")
+            assert code == 0
+            assert json.loads(out) == {"n": n, "dim": dim, "by_total_weight": table}
+
+
+def test_dims_by_total_weight_without_the_weight_vector_loop(capsys):
+    # 9**14 weight vectors: counted from the generating polynomial
+    code, out, _ = run(capsys, "dims", "-n", "14", "--wmax", "9", "--json")
+    assert code == 0
+    table = json.loads(out)["by_total_weight"]
+    assert [t for t, _ in table] == list(range(14, 127))
+    assert sum(c for _, c in table) == 9**14 * 14**13
 
 
 def rejected(capsys, *argv):

@@ -306,10 +306,34 @@ def test_arrow_exponent_is_weight_times_height():
             assert out == TreeCombination(tuple(expected.items()))
 
 
+def bilinear(op, x, y):
+    """Sum of ``cx * cy * op(s, t)`` over the terms of x and y, built with
+    ``+`` and ``scale`` only."""
+    out = TreeCombination.zero()
+    for s, cs in x.terms():
+        for t, ct in y.terms():
+            out = out + op(s, t).scale(cs * ct)
+    return out
+
+
 def test_arrow_bilinear_over_combinations():
     a = TreeCombination(((parse_tree("a:1"), LAMBDA),))
     b = TreeCombination(((parse_tree("b:2"), mono(2)),))
     assert arrow_lambda(a, b) == TreeCombination.of(parse_tree("a:1[b:2]"), mono(3))
+    # L^2*(1+L) * _:1[_:1[_:1]] from the first pair cancels against
+    # -L*(1+L) * L * _:1[_:1[_:1]] from the second; the symmetric leaves of
+    # _:1[_:1,_:1] make _:1[_:1,_:1[_:1]] twice per graft of _:1
+    x = TreeCombination(
+        ((parse_tree("_:1"), mono(2)), (parse_tree("_:1[_:1]"), -LAMBDA),
+         (parse_tree("_:1[_:1,_:1]"), 3))
+    )
+    y = TreeCombination(((parse_tree("_:1[_:1]"), 1 + LAMBDA), (parse_tree("_:1"), 1 + LAMBDA)))
+    out = arrow_lambda(x, y)
+    assert out == bilinear(arrow_lambda, x, y)
+    assert parse_tree("_:1[_:1[_:1]]") not in out.support()
+    # -L*(1+L) from the second pair, 3*(1+L) * 2L from the two leaves
+    assert out.coefficient(parse_tree("_:1[_:1,_:1[_:1]]")) == 5 * (LAMBDA + mono(2))
+    assert len(out) == 7
 
 
 def test_arrow_unlabeled_collects_symmetric_grafts():
@@ -330,6 +354,20 @@ def test_arrow_label_clash_rejected():
 def test_circ_sum_unit_cases():
     assert circ_sum(parse_tree("u:3"), T_EX) == TreeCombination.of(T_EX)
     assert circ_sum(parse_tree("u:2"), T_EX) == TreeCombination.zero()
+
+
+def test_circ_sum_bilinear_over_combinations():
+    # r:1[x:2] and r:1[x:1[y:1]] come from slot a of the first host and
+    # slot c of the second, with opposite coefficients
+    T = TreeCombination(
+        ((parse_tree("r:1[a:2]"), LAMBDA), (parse_tree("r:1[c:2]"), -LAMBDA),
+         (parse_tree("a:2[b:1]"), mono(2)))
+    )
+    S = TreeCombination(((parse_tree("x:2"), 1 + LAMBDA), (parse_tree("x:1[y:1]"), 2 - LAMBDA)))
+    out = circ_sum(T, S)
+    assert out == bilinear(circ_sum, T, S)
+    assert not {parse_tree("r:1[x:2]"), parse_tree("r:1[x:1[y:1]]")} & out.support()
+    assert len(out) == 3
 
 
 def test_circ_sum_classical_two_vertex_case():
@@ -468,6 +506,15 @@ def test_compose_at_label_is_bilinear():
     combo = TreeCombination(((T1, LAMBDA),))
     direct = compose_lambda(S, S.ref("a"), T1)
     assert compose_at_label(S, "a", combo) == LAMBDA * direct
+    # Distinct pairs of label-compatible terms give distinct trees, so no
+    # term cancels; z:1 weighs too little for every slot.
+    x = TreeCombination(((S, 1 + LAMBDA), (parse_tree("r:1[a:2[b:1]]"), -mono(2))))
+    y = TreeCombination(
+        ((T1, LAMBDA), (parse_tree("x:1[y:1]"), 2 - LAMBDA), (parse_tree("z:1"), 3))
+    )
+    out = compose_at_label(x, "a", y)
+    assert out == bilinear(lambda s, t: compose_lambda(s, s.ref("a"), t), x, y)
+    assert len(out) == 6
 
 
 # --- classical derivation relations ---------------------------------------------------

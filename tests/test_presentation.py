@@ -129,6 +129,17 @@ def test_phi_right_nested_triple_expansion():
 def test_phi_linear_over_combinations():
     c = BracketCombination(((brack("(x_1 y_1)"), LAMBDA),))
     assert phi(c) == TreeCombination.of(parse_tree("x:1[y:1]"), LAMBDA)
+    # phi(((x_1 z_1) y_1)) = x:1[y:1,z:1] + L * x:1[z:1[y:1]] and
+    # phi((x_1 (z_1 y_1))) = x:1[z:1[y:1]]: the second tree cancels
+    exprs = [brack("((x_1 z_1) y_1)"), brack("(x_1 (z_1 y_1))"), brack("((x_1 y_1) z_2)")]
+    coeffs = [1 + LAMBDA, -(LAMBDA + mono(2)), mono(2)]
+    out = phi(BracketCombination(zip(exprs, coeffs)))
+    reference = TreeCombination.zero()
+    for e, c in zip(exprs, coeffs):
+        reference = reference + phi(e).scale(c)
+    assert out == reference
+    assert parse_tree("x:1[z:1[y:1]]") not in out.support()
+    assert len(out) == 3
 
 
 # --- psi ---------------------------------------------------------------------------
@@ -191,6 +202,14 @@ def test_psi_linear_over_combinations():
     t2 = parse_tree("z:2")
     c = TreeCombination(((t1, LAMBDA), (t2, mono(0, 3))))
     assert psi(c) == LAMBDA * psi(t1) + 3 * psi(t2)
+    # psi(x:1[y:1,z:1]) = ((x_1 z_1) y_1) - L * (x_1 (z_1 y_1)) and
+    # psi(x:1[z:1[y:1]]) = (x_1 (z_1 y_1)): the second bracket cancels
+    t3, t4 = parse_tree("x:1[y:1,z:1]"), parse_tree("x:1[z:1[y:1]]")
+    c = TreeCombination(((t3, 1 + LAMBDA), (t4, LAMBDA + mono(2)), (t1, mono(3))))
+    out = psi(c)
+    assert out == psi(t3).scale(1 + LAMBDA) + psi(t4).scale(LAMBDA + mono(2)) + psi(t1).scale(mono(3))
+    assert brack("(x_1 (z_1 y_1))") not in out.support()
+    assert len(out) == 2
 
 
 def test_psi_rejects_unlabeled():

@@ -28,7 +28,7 @@ from graftop import (
     weight,
 )
 from graftop.trees import _LABEL_CHARS, _is_label
-from graftop.verify import Universe
+from graftop.verify import Universe, _decrement_at, _delete_at
 
 CAYLEY = {1: 1, 2: 2, 3: 9, 4: 64, 5: 625, 6: 7776}
 
@@ -475,3 +475,9 @@ def test_rebuilt_trees_match_validated_trees(t):
     assert_matches_validated(relabel(t, {lab: f"q{len(order) - i}" for i, lab in enumerate(order)}))
     assert_matches_validated(reweight(t, {lab: 1 + i % 3 for i, lab in enumerate(order)}))
     assert_matches_validated(strip_labels(t))
+    # the shrinker's reductions: drop a leaf, lower a weight above 1
+    for path, node in t.walk():
+        if path and not node.children:
+            assert_matches_validated(_delete_at(t, path))
+        if node.weight > 1:
+            assert_matches_validated(_decrement_at(t, path))

@@ -145,6 +145,54 @@ def test_fault_gates_pass_without_the_raised_exponents(monkeypatch, check):
     assert report.ok, report.summary()
 
 
+# Each fault gate's report on its universe from acceptance criterion 8.
+FAULT_REPORTS = [
+    (check_nested_associativity, Universe(3, 3), {}, 351, 25, (
+        "S=s2:3[s1:1] T=t1:1[t2:2] U=u1:1[u2:1]",
+        "S=s2:3[s1:1] T=t1:1[t2:2] U=u2:1[u1:1]",
+        "S=s2:3[s1:1] T=t2:2[t1:1] U=u1:1[u2:1]",
+    )),
+    (check_disjoint_associativity, Universe(3, 3), {}, 536, 25, (
+        "S=s1:2[s2:2] T=t1:1[t2:1] U=u1:1[u2:1]",
+        "S=s1:2[s2:2] T=t1:1[t2:1] U=u2:1[u1:1]",
+        "S=s1:2[s2:2] T=t2:1[t1:1] U=u1:1[u2:1]",
+    )),
+    (check_unit_laws, Universe(3, 3), {}, 10, 27, (
+        "left unit on T=a1:1", "right unit on T=a1:1 at v=a1", "left unit on T=a1:2",
+    )),
+    (check_equivariance, Universe(3, 3), {}, 29, 25, (
+        "S=s1:2 v=s1 T=t1:1[t2:1]", "S=s1:2 v=s1 T=t2:1[t1:1]", "S=s1:3 v=s1 T=t1:1[t2:2]",
+    )),
+    (check_minimality, Universe(3, 3), {}, 100, 25, (
+        "minimal map not unique S=s2:2[s1:1] v=s2 T=t1:1[t2:1]",
+        "minimal map not unique S=s2:2[s1:1] v=s2 T=t2:1[t1:1]",
+        "minimal map not unique S=s2:3[s1:1] v=s2 T=t1:1[t2:2]",
+    )),
+    (check_specializations, TRIPLE, {}, 25, 25, (
+        "parameter-0 S=s1:1 v=s1 T=t1:1",
+        "parameter-0 S=s1:2 v=s1 T=t1:1[t2:1]",
+        "parameter-0 S=s1:2 v=s1 T=t2:1[t1:1]",
+    )),
+    (check_deformed_identity, TRIPLE, {}, 27, 25, (
+        "U=_:1 T=_:1 S=_:2", "U=_:1 T=_:1 S=_:1[_:1]", "U=_:1 T=_:1 S=_:1[_:1]",
+    )),
+    (check_roundtrip_psi_phi, TRIPLE, {}, 82, 24, (
+        "roundtrip T=x1:1[x2:1,x3:1]", "roundtrip T=x2:1[x1:1,x3:1]", "roundtrip T=x3:1[x1:1,x2:1]",
+    )),
+    (check_morphisms_i_j, Universe(2, 1), {"weight_bound": 4}, 15, 15, (
+        "S=s1:1 v=s1 T=t1:1", "S=s1:1 v=s1 T=t1:1[t2:1]", "S=s1:1 v=s1 T=t2:1[t1:1]",
+    )),
+]
+
+
+@pytest.mark.parametrize("check, universe, kwargs, instances, failures, examples", FAULT_REPORTS)
+def test_fault_reports(check, universe, kwargs, instances, failures, examples):
+    report = check(universe, fault=True, **kwargs)
+    assert (report.instances, report.failure_count, report.counterexamples) == (
+        instances, failures, examples
+    )
+
+
 def test_clean_suite_instance_counts():
     reports = run_suite("all", SMALL)
     assert [r.instances for r in reports] == [42, 72, 10, 36, 36, 224, 51, 10, 15]
