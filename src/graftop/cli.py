@@ -10,12 +10,13 @@ internal error (for example a tree nested too deeply to parse).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
 
 from .algebra import Combination
-from .errors import ParseError
+from .errors import ParseError, TreeError
 from .operad import arrow_lambda, butcher_product, circ_sum, compose_lambda, nap_compose
 from .presentation import parse_bracket, phi, psi
 from .trees import enumerate_labeled_trees, parse_tree
@@ -105,10 +106,9 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.weights:
-        weights = [int(w) for w in args.weights.split(",")]
-    else:
-        weights = [1] * args.n
+    weights = args.weights or [1] * args.n
+    if len(weights) != args.n:
+        raise ParseError(f"expected {args.n} weights, got {len(weights)}", 0)
     trees = enumerate_labeled_trees(args.n, weights)
     if args.json:
         print(json.dumps({"trees": [t.encoding for t in trees]}))
@@ -118,6 +118,21 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _exact_int_text():
+    """Lift the interpreter's limit on int-to-text digits (Python 3.11, and
+    3.10 from 3.10.7) for the block, and restore it after."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if old:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old:
+            sys.set_int_max_str_digits(old)
+
+
+@_exact_int_text()
 def _cmd_dims(args) -> int:
     dim = args.n ** (args.n - 1)
     if args.json:
@@ -169,6 +184,10 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _weight_list(text: str) -> list[int]:
+    return [_positive_int(w) for w in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,8 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_phi)
 
     p = sub.add_parser("enumerate", help="all labeled trees on n vertices")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--weights", help="comma-separated weights a1,..,an (default all 1)")
+    p.add_argument("-n", type=_positive_int, required=True)
+    p.add_argument(
+        "--weights", type=_weight_list, help="comma-separated weights a1,..,an (default all 1)"
+    )
     add_json(p)
     p.set_defaults(handler=_cmd_enumerate)
 
@@ -275,8 +296,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.handler(args)
-    except ValueError as exc:
-        # covers ParseError and TreeError as well
+    except (ParseError, TreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -76,14 +76,18 @@ def iter_graft_maps(S: WeightedTree, v: VertexRef, T: WeightedTree) -> Iterator[
 
 def _replace_at(node: WeightedTree, path: tuple, new: WeightedTree) -> WeightedTree:
     """``node`` with its vertex at ``path`` replaced by the subtree ``new``;
-    only the vertices along the path are rebuilt, with the trusted
-    constructor: the caller has checked that ``new`` brings no label of
-    ``node`` other than the replaced vertex's."""
-    if not path:
-        return new
-    kids = list(node.children)
-    kids[path[0]] = _replace_at(kids[path[0]], path[1:], new)
-    return WeightedTree._node(node.label, node.weight, tuple(kids))
+    only the vertices along the path are rebuilt, bottom-up in a loop, with
+    the trusted constructor: the caller has checked that ``new`` brings no
+    label of ``node`` other than the replaced vertex's."""
+    spine = []
+    for i in path:
+        spine.append((node, i))
+        node = node.children[i]
+    for node, i in reversed(spine):
+        kids = list(node.children)
+        kids[i] = new
+        new = WeightedTree._node(node.label, node.weight, tuple(kids))
+    return new
 
 
 def _hang(node: WeightedTree, hung) -> WeightedTree:
@@ -106,11 +110,43 @@ def _hang(node: WeightedTree, hung) -> WeightedTree:
     return WeightedTree._node(node.label, node.weight, tuple(kids) + tuple(here))
 
 
-def _substitute(S: WeightedTree, path, branches, T: WeightedTree, target_paths) -> WeightedTree:
-    """T in place of the vertex of S at ``path``, whose child ``branches``
-    are hung below the vertices of T at ``target_paths``, one each; see
-    ``compose_with_map``."""
-    return _replace_at(S, path, _hang(T, tuple(zip(target_paths, branches))))
+def _placements(x: WeightedTree, hung: tuple, memo: dict) -> list:
+    """Every way to hang the branches ``hung`` below the vertices of ``x``,
+    one each, as ``(tree, excess)`` pairs, memoized in ``memo`` on the
+    identities of ``x`` and the branches (see ``compose_lambda``).  Recurses
+    once per level of ``x``, like ``_hang``, and has the same precondition."""
+    key = (id(x), *map(id, hung))
+    if key in memo:
+        return memo[key]
+    kids = x.children
+    if not hung:
+        out = [(x, 0)]
+    elif not kids:
+        out = [(WeightedTree._node(x.label, x.weight, hung), 0)]
+    else:
+        out = []
+        n = len(kids)
+        unchanged = [((kid, 0),) for kid in kids]
+        for choice in itertools.product(range(n + 1), repeat=len(hung)):
+            here = []
+            groups: dict[int, list] = {}
+            sunk = 0
+            for branch, i in zip(hung, choice):
+                if i == n:
+                    here.append(branch)
+                else:
+                    groups.setdefault(i, []).append(branch)
+                    sunk += branch.total_weight
+            options = unchanged.copy()
+            for i, group in groups.items():
+                options[i] = _placements(kids[i], tuple(group), memo)
+            here = tuple(here)
+            for combo in itertools.product(*options):
+                kid_trees, excesses = zip(*combo)
+                node = WeightedTree._node(x.label, x.weight, kid_trees + here)
+                out.append((node, sunk + sum(excesses)))
+    memo[key] = out
+    return out
 
 
 def _check_compose_args(S: WeightedTree, v: VertexRef, T: WeightedTree) -> None:
@@ -140,7 +176,8 @@ def compose_with_map(
     for r in f.targets:
         if r.tree != T:
             raise TreeError("graft map target does not belong to the inserted tree")
-    return _substitute(S, v.path, v.node.children, T, [r.path for r in f.targets])
+    hung = tuple(zip([r.path for r in f.targets], v.node.children))
+    return _replace_at(S, v.path, _hang(T, hung))
 
 
 def compose_lambda(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombination:
@@ -149,27 +186,29 @@ def compose_lambda(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombin
     Zero when T's total weight differs from v's weight.  Otherwise one
     term per reattachment map; the term for map f carries coefficient
     L**(d_f - d_min) where d_f is the potential energy of the f-tree and
-    d_min that of the all-at-the-root tree, which is the minimum.  That
-    excess is computed in closed form as the sum, over the child branches
-    of v, of the height in T of the branch's target times the branch's
-    total weight.  The terms share every subtree that the substitution
-    leaves unchanged with S, T and each other (see ``compose_with_map``).
+    d_min that of the all-at-the-root tree, which is the minimum.
+
+    The maps factor over the subtrees of T: ``_placements`` distributes
+    v's child branches among T's root and its children, and recurses into
+    each child with the branches sent there.  A branch sent one level down
+    adds its total weight to the excess, so over all levels the excess is
+    the closed form: the sum, over v's child branches, of the height of the
+    branch's target in T times the branch's total weight.  The placements
+    are memoized for the call, so each distinct rebuilt subtree of T is
+    built once and shared by every term containing it, and a subtree that
+    receives no branch is T's own.  Each term then rebuilds only the
+    root-to-v spine of S.
     """
     _check_compose_args(S, v, T)
     node = v.node
     if T.total_weight != node.weight:
         return TreeCombination.zero()
-    branches = node.children
-    weights = [c.total_weight for c in branches]
-    paths = [path for path, _ in T.walk()]
     # Distinct maps give each moved branch root a distinct parent label, so
     # the terms never collide.
     return TreeCombination._raw(
         {
-            _substitute(S, v.path, branches, T, targets): monomial(
-                sum(len(p) * w for p, w in zip(targets, weights))
-            )
-            for targets in itertools.product(paths, repeat=len(weights))
+            _replace_at(S, v.path, tree): monomial(excess)
+            for tree, excess in _placements(T, node.children, {})
         }
     )
 

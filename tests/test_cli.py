@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 
 import pytest
 
@@ -248,3 +249,49 @@ def test_internal_error_exits_3_without_traceback(capsys):
     assert not out
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("enumerate", "-n", "0"), "argument -n: must be >= 1"),
+        (("enumerate", "-n", "2", "--weights", "1,a"), "argument --weights: expected an integer"),
+    ],
+)
+def test_enumerate_rejects_bad_arguments(capsys, argv, message):
+    code, err = rejected(capsys, *argv)
+    assert code == 2
+    assert f"error: {message}" in err and "Traceback" not in err
+
+
+def test_enumerate_rejects_wrong_weight_count(capsys):
+    code, out, err = run(capsys, "enumerate", "-n", "3", "--weights", "1,2")
+    assert code == 2
+    assert not out
+    assert err.startswith("error: expected 3 weights, got 2") and err.count("\n") == 1
+
+
+def test_bare_value_error_is_internal(capsys, monkeypatch):
+    # only ParseError and TreeError are rejected input; any other ValueError
+    # is a bug and must not read as exit 2
+    def broken(*args):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("graftop.cli.arrow_lambda", broken)
+    code, out, err = run(capsys, "arrow", "-T", "r:1", "-S", "s:1")
+    assert code == 3
+    assert not out
+    assert err == "error: internal error: ValueError: boom\n"
+
+
+def test_dims_prints_counts_beyond_the_int_digit_limit(capsys):
+    # 2000**1999 = 2**1999 * 10**5997 has 6,599 digits; the oracle's own
+    # conversion stays under the interpreter's 4,300-digit limit
+    expected = str(2**1999) + "0" * 5997
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, _ = run(capsys, "dims", "-n", "2000")
+    assert (code, out) == (0, expected + "\n")
+    code, out, _ = run(capsys, "dims", "-n", "2000", "--json")
+    assert code == 0
+    assert out == '{"n": 2000, "dim": ' + expected + "}\n"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit

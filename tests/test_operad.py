@@ -11,6 +11,7 @@ from graftop import (
     TreeCombination,
     TreeError,
     UnitFamily,
+    WeightedTree,
     arrow_lambda,
     butcher_product,
     circ_sum,
@@ -170,6 +171,15 @@ def _oracle_compose_cases():
     yield S, S.ref("v"), parse_tree("t1:1[t2:1[t3:2],t4:1[t5:1]]")
     S = parse_tree("r:2[q:1[v:10[b1:2,b2:1[b4:3],b3:1]],z:1]")
     yield S, S.ref("v"), parse_tree("t1:1[t2:2[t3:1[t4:1]],t5:1[t6:3,t7:1]]")
+    # three branches into a tree whose root has three children
+    S = parse_tree("r:1[v:7[b1:1,b2:2[b4:1],b3:1]]")
+    yield S, S.ref("v"), parse_tree("t1:2[t2:1,t3:1[t5:1],t4:2]")
+    # four branches into a one-vertex tree
+    S = parse_tree("r:1[v:3[b1:1,b2:1,b3:2,b4:1]]")
+    yield S, S.ref("v"), parse_tree("t1:3")
+    # a slot at depth 3
+    S = parse_tree("r:1[a:1[c:2[v:3[b1:1,b2:1[b3:1]]]],z:1]")
+    yield S, S.ref("v"), parse_tree("t1:1[t2:2]")
 
 
 def test_compose_matches_parent_map_oracle_and_constructor_energies():
@@ -185,6 +195,49 @@ def test_compose_matches_parent_map_oracle_and_constructor_energies():
             assert combo.coefficient(term) == mono(term.energy - d0)
         cases += 1
     assert cases > 1000
+
+
+def test_compose_lambda_shares_rebuilt_subtrees():
+    S = parse_tree("r:1[v:6[b1:1,b2:2[b4:1],b3:1]]")
+    T = parse_tree("t1:1[t2:1[t3:1],t4:1[t5:1,t6:1]]")
+    v = S.ref("v")
+    branch_labels = {b.label for b in v.node.children}
+    combo = compose_lambda(S, v, T)
+    assert len(combo) == T.size ** len(branch_labels)
+    rebuilt = {}
+    for term, _ in combo.terms():
+        for _, node in term.node_at(v.path).walk():
+            if node.label not in T.labels:
+                continue
+            if not node.labels & branch_labels:
+                # receives no branch: T's own subtree
+                assert node is T.ref(node.label).node
+            elif node.label != "t1":
+                rebuilt.setdefault(node.encoding, set()).add(id(node))
+    assert len(rebuilt) > 10
+    assert all(len(ids) == 1 for ids in rebuilt.values())
+
+
+def test_compose_at_deepest_vertex_of_deep_chain_does_not_recurse():
+    # built bottom-up, deeper than the default recursion limit; the slot
+    # v1199 weighs 2 and has the single child v1200
+    n = 1200
+
+    def chain(bottom):
+        tree = bottom
+        for i in range(n - 2, 0, -1):
+            tree = WeightedTree(f"v{i}", 1, (tree,))
+        return tree
+
+    S = chain(WeightedTree(f"v{n - 1}", 2, (WeightedTree(f"v{n}", 1),)))
+    v = S.ref(f"v{n - 1}")
+    T = parse_tree("x:1[y:1]")
+    leaf = WeightedTree(f"v{n}", 1)
+    at_root = chain(WeightedTree("x", 1, (leaf, WeightedTree("y", 1))))
+    below = chain(WeightedTree("x", 1, (WeightedTree("y", 1, (leaf,)),)))
+    combo = compose_lambda(S, v, T)
+    assert combo == TreeCombination(((at_root, 1), (below, LAMBDA)))
+    assert nap_compose(S, v, T) == at_root
 
 
 def test_minimality_of_root_map():
