@@ -154,6 +154,8 @@ class LambdaPoly:
         if len(self._terms) == 1 and len(other._terms) == 1:
             (e1, c1), = self._terms
             (e2, c2), = other._terms
+            if c1 == 1 and c2 == 1:
+                return monomial(e1 + e2)
             c = c1 * c2
             return _poly(((e1 + e2, c if type(c) is int else _as_coeff(c)),))
         return _poly(_sum_terms((), [
@@ -196,10 +198,12 @@ class LambdaPoly:
 LAMBDA = LambdaPoly.monomial(1)
 
 _MONOMIALS: dict[int, LambdaPoly] = {}
+_UNIT_TERMS = ((0, 1),)
 
 
 def monomial(exp: int) -> LambdaPoly:
-    """Shared unit-coefficient monomials (hot path of the compositions)."""
+    """Shared unit-coefficient monomials (hot path of the compositions), the
+    products of two of them included."""
     hit = _MONOMIALS.get(exp)
     if hit is None:
         hit = LambdaPoly.monomial(exp)
@@ -300,11 +304,13 @@ class Combination:
     def _sum(cls, parts, acc: dict | None = None):
         """Sum ``coeff * combo`` over the ``(coeff, combo)`` pairs of ``parts``
         into the term dict ``acc`` (a new one by default), which the result
-        owns; an unvalidated fast path like ``_raw``, for LambdaPoly coeffs."""
+        owns; an unvalidated fast path like ``_raw``, for LambdaPoly coeffs.
+        A part whose coefficient is the unit is added without multiplying."""
         acc = {} if acc is None else acc
         for coeff, combo in parts:
+            unit = coeff._terms == _UNIT_TERMS
             for term, c in combo._terms.items():
-                accumulate(acc, term, coeff * c)
+                accumulate(acc, term, c if unit else coeff * c)
         return cls._raw(acc)
 
     @staticmethod

@@ -94,7 +94,8 @@ def _hang(node: WeightedTree, hung) -> WeightedTree:
     """``node`` with each ``(path, branch)`` of ``hung`` attached as a new
     child of the vertex at ``path``; only the ancestors of those vertices
     are rebuilt, with the trusted constructor: the caller has checked that
-    the branches and ``node`` are label-disjoint (or all unlabeled)."""
+    the branches and ``node`` are label-disjoint (or all unlabeled).  It
+    serves only ``compose_with_map``; single grafts go through ``_graft``."""
     if not hung:
         return node
     here = []
@@ -110,18 +111,28 @@ def _hang(node: WeightedTree, hung) -> WeightedTree:
     return WeightedTree._node(node.label, node.weight, tuple(kids) + tuple(here))
 
 
+def _graft(tree: WeightedTree, path: tuple, node: WeightedTree, branch) -> WeightedTree:
+    """``tree`` with ``branch`` hung as a new child of ``node``, the vertex at
+    ``path``: the graft kernel, a loop like ``_replace_at``, with ``_hang``'s
+    precondition."""
+    kids = node.children + (branch,)
+    return _replace_at(tree, path, WeightedTree._node(node.label, node.weight, kids))
+
+
 def _placements(x: WeightedTree, hung: tuple, memo: dict) -> list:
     """Every way to hang the branches ``hung`` below the vertices of ``x``,
-    one each, as ``(tree, excess)`` pairs, memoized in ``memo`` on the
-    identities of ``x`` and the branches (see ``compose_lambda``).  Recurses
-    once per level of ``x``, like ``_hang``, and has the same precondition."""
+    one each, as ``(tree, excess)`` pairs: the branches are distributed
+    among x and its children, each child recursing with its share, and a
+    branch sent one level down adds its total weight to the excess.
+    Memoized in ``memo`` for one call on the identities of x and the
+    branches, read first, so each distinct rebuilt subtree is one object
+    and a subtree that receives no branch is x's own.  Recurses once per
+    level of ``x``, like ``_hang``, and has the same precondition."""
     key = (id(x), *map(id, hung))
     if key in memo:
         return memo[key]
     kids = x.children
-    if not hung:
-        out = [(x, 0)]
-    elif not kids:
+    if not kids:
         out = [(WeightedTree._node(x.label, x.weight, hung), 0)]
     else:
         out = []
@@ -151,9 +162,9 @@ def _placements(x: WeightedTree, hung: tuple, memo: dict) -> list:
 
 def _check_compose_args(S: WeightedTree, v: VertexRef, T: WeightedTree) -> None:
     _owned(S, v)
-    if not (S.is_labeled and T.is_labeled):
+    if S.label == UNLABELED or T.label == UNLABELED:
         raise TreeError("composition requires labeled trees")
-    clash = (S.labels - {v.label}) & T.labels
+    clash = (S.labels & T.labels) - {v.label}
     if clash:
         raise TreeError(f"label clash between host and inserted tree: {sorted(clash)}")
 
@@ -186,31 +197,44 @@ def compose_lambda(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombin
     Zero when T's total weight differs from v's weight.  Otherwise one
     term per reattachment map; the term for map f carries coefficient
     L**(d_f - d_min) where d_f is the potential energy of the f-tree and
-    d_min that of the all-at-the-root tree, which is the minimum.
+    d_min that of the all-at-the-root tree, which is the minimum.  The
+    excess is the sum, over v's child branches, of the height of the
+    branch's target in T times the branch's total weight.
 
-    The maps factor over the subtrees of T: ``_placements`` distributes
-    v's child branches among T's root and its children, and recurses into
-    each child with the branches sent there.  A branch sent one level down
-    adds its total weight to the excess, so over all levels the excess is
-    the closed form: the sum, over v's child branches, of the height of the
-    branch's target in T times the branch's total weight.  The placements
-    are memoized for the call, so each distinct rebuilt subtree of T is
-    built once and shared by every term containing it, and a subtree that
-    receives no branch is T's own.  Each term then rebuilds only the
-    root-to-v spine of S.
+    Base cases: with no branch T itself is inserted, into a one-vertex T
+    all branches hang at its root, and one branch is grafted at each vertex
+    of T by ``_graft``; two or more go through ``_placements``.  The
+    root-to-v spine of S (label, weight and left and right siblings per
+    level) is read once, and each term is built up from it.
     """
     _check_compose_args(S, v, T)
-    node = v.node
+    node = S
+    spine = []
+    for i in v.path:
+        kids = node.children
+        spine.append((node.label, node.weight, kids[:i], kids[i + 1:]))
+        node = kids[i]
     if T.total_weight != node.weight:
         return TreeCombination.zero()
-    # Distinct maps give each moved branch root a distinct parent label, so
-    # the terms never collide.
-    return TreeCombination._raw(
-        {
-            _replace_at(S, v.path, tree): monomial(excess)
-            for tree, excess in _placements(T, node.children, {})
-        }
-    )
+    spine.reverse()
+    branches = node.children
+    if not branches:
+        placed = ((T, 0),)
+    elif not T.children:
+        placed = ((WeightedTree._node(T.label, T.weight, branches), 0),)
+    elif len(branches) == 1:
+        b = branches[0]
+        placed = [(_graft(T, path, x, b), b.total_weight * len(path)) for path, x in T.walk()]
+    else:
+        placed = _placements(T, branches, {})
+    terms = {}
+    for tree, excess in placed:
+        for label, weight, left, right in spine:
+            tree = WeightedTree._node(label, weight, left + (tree,) + right)
+        # Distinct maps give each moved branch root a distinct parent label,
+        # so the terms never collide.
+        terms[tree] = monomial(excess)
+    return TreeCombination._raw(terms)
 
 
 def _as_combination(x) -> TreeCombination:
@@ -304,7 +328,7 @@ def graft_at(T: WeightedTree, v: VertexRef, S: WeightedTree) -> WeightedTree:
     """Graft S as a new child branch of vertex v of T."""
     _owned(T, v)
     _check_graft_args(T, S)
-    return _hang(T, ((v.path, S),))
+    return _graft(T, v.path, v.node, S)
 
 
 def _check_graft_args(T: WeightedTree, S: WeightedTree) -> None:
@@ -326,9 +350,9 @@ def arrow_lambda(x, y) -> TreeCombination:
         for s, cs in ys.items():
             _check_graft_args(t, s)
             coeff = ct * cs
-            for path, _ in t.walk():
-                term = _hang(t, ((path, s),))
-                accumulate(acc, term, coeff * monomial(s.total_weight * len(path)))
+            w = s.total_weight
+            for path, node in t.walk():
+                accumulate(acc, _graft(t, path, node, s), coeff * monomial(w * len(path)))
     return TreeCombination._raw(acc)
 
 

@@ -25,6 +25,7 @@ _LABEL_CHARS = frozenset(
 _DIGITS = frozenset("0123456789")
 
 _BY_ENCODING = attrgetter("encoding")
+_new = object.__new__
 
 
 def _check_weight(weight) -> None:
@@ -62,14 +63,15 @@ class WeightedTree:
     The constructor validates its input: weights, labels, and that a tree
     is either labeled with distinct labels or unlabeled throughout.
     ``WeightedTree._node`` is the trusted constructor for trees assembled
-    from parts of trees that already exist: it computes the same fields
-    but checks nothing, so its caller must guarantee that the weight and
-    label are valid and that the children's labels are disjoint from each
-    other and from ``label`` (or that all are ``_``).  The operations in
-    ``operad`` and ``relabel``/``reweight``/``strip_labels`` call it only
-    after their argument checks have established that, and the shrinker in
-    ``verify`` only for its reductions (drop a leaf, lower a weight above
-    1), which keep a valid tree valid.
+    from parts of trees that already exist: one body, which ``__init__``
+    runs after its checks, computes the same fields, but checks nothing,
+    so its caller must guarantee that the weight and label are valid and
+    that the children's labels are disjoint from each other and from
+    ``label`` (or that all are ``_``).  The operations in ``operad`` and
+    ``relabel``/``reweight``/``strip_labels`` call it only after their
+    argument checks have established that, and the shrinker in ``verify``
+    only for its reductions (drop a leaf, lower a weight above 1), which
+    keep a valid tree valid.
     """
 
     __slots__ = (
@@ -86,7 +88,7 @@ class WeightedTree:
     def __init__(self, label: str, weight: int, children: tuple = ()):
         _check_weight(weight)
         _check_label(label)
-        self._fill(label, weight, children if type(children) is tuple else tuple(children))
+        WeightedTree._node(label, weight, children if type(children) is tuple else tuple(children), self)
         labs = {label}
         for c in self.children:
             labs |= c.labels
@@ -100,41 +102,45 @@ class WeightedTree:
             if len(labs) != self.size:
                 raise TreeError(f"duplicate labels in {self.encoding}")
 
-    @classmethod
-    def _node(cls, label: str, weight: int, kids: tuple) -> "WeightedTree":
-        """Trusted constructor: no validation, no label set (see the class
-        docstring for the precondition)."""
-        node = cls.__new__(cls)
-        node._fill(label, weight, kids)
-        return node
-
-    def _fill(self, label: str, weight: int, kids: tuple) -> None:
-        if len(kids) > 1:
-            kids = tuple(sorted(kids, key=_BY_ENCODING))
-        self.label = label
-        self.weight = weight
-        self.children = kids
-        self._labels = None
-        total = weight
-        energy = 0
-        size = 1
-        if kids:
-            for c in kids:
-                total += c.total_weight
-                # Hanging a branch one level down adds its full weight.
-                energy += c.energy + c.total_weight
-                size += c.size
-            self.encoding = f"{label}:{weight}[" + ",".join([c.encoding for c in kids]) + "]"
+    @staticmethod
+    def _node(label: str, weight: int, kids: tuple, node=None) -> "WeightedTree":
+        """Trusted constructor: allocates with ``object.__new__`` (or fills
+        ``node``, which only ``__init__`` passes), validates nothing and
+        builds no label set; see the class docstring for the precondition."""
+        if node is None:
+            node = _new(WeightedTree)
+        node.label = label
+        node.weight = weight
+        node._labels = None
+        if len(kids) == 1:
+            c = kids[0]
+            node.encoding = f"{label}:{weight}[{c.encoding}]"
+            node.total_weight = weight + c.total_weight
+            # Hanging a branch one level down adds its full weight.
+            node.energy = c.energy + c.total_weight
+            node.size = 1 + c.size
         else:
-            self.encoding = f"{label}:{weight}"
-        self.total_weight = total
-        self.energy = energy
-        self.size = size
+            total, energy, size = weight, 0, 1
+            if kids:
+                kids = tuple(sorted(kids, key=_BY_ENCODING))
+                for c in kids:
+                    total += c.total_weight
+                    energy += c.energy + c.total_weight
+                    size += c.size
+                node.encoding = f"{label}:{weight}[" + ",".join([c.encoding for c in kids]) + "]"
+            else:
+                node.encoding = f"{label}:{weight}"
+            node.total_weight, node.energy, node.size = total, energy, size
+        node.children = kids
+        return node
 
     @property
     def labels(self) -> frozenset:
         """The set of vertex labels, computed bottom-up on first read; the
-        walk is iterative and reuses the sets already cached below."""
+        walk is iterative and reuses the sets already cached below.
+        Invariant: once a node's set is cached, so are all its descendants'
+        (``__init__`` and this walk fill children first; ``_node`` leaves
+        only the new node's set empty)."""
         if self._labels is None:
             order = [self]
             for node in order:  # breadth-first: every parent precedes its children
@@ -187,11 +193,18 @@ class WeightedTree:
         return tuple(VertexRef(self, path) for path, _ in self.walk())
 
     def ref(self, label: str) -> "VertexRef":
-        """The vertex carrying ``label`` (labeled trees only)."""
+        """The vertex carrying ``label`` (labeled trees only), found by
+        descent through the cached child label sets (the invariant at ``labels``)."""
         if label in self.labels:
-            for path, node in self.walk():
-                if node.label == label:
-                    return VertexRef(self, path)
+            path = []
+            node = self
+            while node.label != label:
+                for i, c in enumerate(node.children):
+                    if label in c._labels:
+                        path.append(i)
+                        node = c
+                        break
+            return VertexRef(self, tuple(path))
         raise TreeError(f"no vertex labeled {label!r} in {self.encoding}")
 
 
@@ -236,7 +249,7 @@ class Edge:
 
 
 def _owned(tree: WeightedTree, v: VertexRef) -> None:
-    if not isinstance(v, VertexRef) or v.tree != tree:
+    if not isinstance(v, VertexRef) or (v.tree is not tree and v.tree != tree):
         raise TreeError("vertex ref does not belong to this tree")
 
 
@@ -280,14 +293,16 @@ def _rebuild(tree: WeightedTree, label_of, weight_of) -> WeightedTree:
     constructor; iterative, so depth is not limited.  The caller has checked
     that the new labels and weights make a valid tree."""
     order = [tree]
-    for node in order:  # breadth-first: every parent precedes its children
+    first = []  # first[i]: the index in ``order`` of node i's first child
+    for node in order:  # breadth-first: a node's children are consecutive
+        first.append(len(order))
         order.extend(node.children)
-    new: dict[int, WeightedTree] = {}
-    for node in reversed(order):
-        new[id(node)] = WeightedTree._node(
-            label_of(node), weight_of(node), tuple([new[id(c)] for c in node.children])
-        )
-    return new[id(tree)]
+    new = [None] * len(order)
+    node_ = WeightedTree._node
+    for i in range(len(order) - 1, -1, -1):
+        node, k = order[i], first[i]
+        new[i] = node_(label_of(node), weight_of(node), tuple(new[k:k + len(node.children)]))
+    return new[0]
 
 
 def relabel(tree: WeightedTree, mapping: Mapping[str, str]) -> WeightedTree:

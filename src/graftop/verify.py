@@ -378,23 +378,34 @@ def _shape_slots(universe: Universe):
     return ((S, T, v) for S in universe.shapes("s") for T in t_shapes for v in S.vertices())
 
 
+def _per_pair(compose):
+    """``outer(S, T)``: ``(v, compose(S, v, T))`` for every slot v of S that
+    fits T, kept for the last (S, T) pair only: the associativity laws'
+    triple streams visit every U of one pair in a row."""
+    last = [None, None, None]
+
+    def outer(S, T):
+        if last[0] is not S or last[1] is not T:
+            last[:] = S, T, [(v, compose(S, v, T)) for v in S.vertices() if v.weight == T.total_weight]
+        return last[2]
+
+    return outer
+
+
 def check_nested_associativity(universe: Universe | None = None, fault: bool = False) -> CheckReport:
     """Composing into a slot of the inserted tree agrees with composing the
     inserted tree first, exhaustively over weight-compatible triples."""
     universe = universe or DEFAULT_TRIPLE_UNIVERSE
     compose = _faulty_compose(0, lambda S: 1) if fault else compose_lambda
+    outer = _per_pair(compose)
 
     def holds(S, T, U):
-        for v in S.vertices():
-            if T.total_weight != v.weight:
-                continue
-            st = compose(S, v, T)
-            for w_label in sorted(T.labels):
-                w = T.ref(w_label)
+        for v, st in outer(S, T):
+            for w in T.vertices():
                 if U.total_weight != w.weight:
                     continue
                 lhs = TreeCombination._sum(
-                    (coeff, compose(term, term.ref(w_label), U))
+                    (coeff, compose(term, term.ref(w.label), U))
                     for term, coeff in st._terms.items()
                 )
                 rhs = TreeCombination._sum(
@@ -425,23 +436,24 @@ def check_disjoint_associativity(universe: Universe | None = None, fault: bool =
     # (the pairing of maps preserves per-map minimality), so this bug scales
     # with the host size instead.
     compose = _faulty_compose(0, lambda S: S.size - 1) if fault else compose_lambda
+    outer = _per_pair(compose)
 
     def holds(S, T, U):
-        # The law is symmetric in (v, T) <-> (w, U), so unordered slot pairs
-        # suffice.
-        for v_label, w_label in itertools.combinations(sorted(S.labels), 2):
-            for va, wa, Ta, Ua in ((v_label, w_label, T, U), (v_label, w_label, U, T)):
-                v = S.ref(va)
-                w = S.ref(wa)
-                if Ta.total_weight != v.weight or Ua.total_weight != w.weight:
+        # Every ordered pair of distinct slots, T into v and U into w.
+        into_u: dict = {}
+        for v, st in outer(S, T):
+            for w in S.vertices():
+                if w.path == v.path or U.total_weight != w.weight:
                     continue
+                su = into_u.get(w.path)
+                if su is None:
+                    su = into_u[w.path] = compose(S, w, U)
                 lhs = TreeCombination._sum(
-                    (coeff, compose(term, term.ref(wa), Ua))
-                    for term, coeff in compose(S, v, Ta)._terms.items()
+                    (coeff, compose(term, term.ref(w.label), U))
+                    for term, coeff in st._terms.items()
                 )
                 rhs = TreeCombination._sum(
-                    (coeff, compose(term, term.ref(va), Ta))
-                    for term, coeff in compose(S, w, Ua)._terms.items()
+                    (coeff, compose(term, term.ref(v.label), T)) for term, coeff in su._terms.items()
                 )
                 if lhs != rhs:
                     return False

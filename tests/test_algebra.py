@@ -21,7 +21,7 @@ from graftop import (
     poly_eval,
     specialize,
 )
-from graftop.algebra import accumulate
+from graftop.algebra import accumulate, monomial
 
 fractions = st.builds(
     Fraction, st.integers(-30, 30), st.integers(1, 12)
@@ -278,3 +278,34 @@ def test_accumulate_prunes_cancelled_terms():
     x = TreeCombination(((T1, LAMBDA), (T2, LambdaPoly.one())))
     assert (x + TreeCombination.of(T1, -LAMBDA)).support() == {T2}
     assert not x - x and not x.scale(0) and len(x.scale(LAMBDA)) == 2
+
+
+@given(st.integers(0, 12), st.integers(0, 12))
+def test_unit_monomial_products_are_the_shared_monomials(a, b):
+    product = monomial(a) * monomial(b)
+    assert product is monomial(a + b)
+    # the general product, through a two-term factor
+    general = monomial(a) * (monomial(b) + monomial(b + 1)) - monomial(a + b + 1)
+    assert product == general == LambdaPoly(((a + b, 1),))
+
+
+@given(st.integers(0, 8), st.integers(0, 8), fractions, fractions)
+def test_other_monomial_products_unchanged(a, b, c1, c2):
+    product = LambdaPoly.monomial(a, c1) * LambdaPoly.monomial(b, c2)
+    assert product == LambdaPoly(((a + b, c1 * c2),))
+    if c1 * c2 != 1:
+        assert product is not monomial(a + b)
+
+
+units = st.sampled_from([monomial(0), LambdaPoly.one(), LambdaPoly.constant(Fraction(2, 2))])
+combinations = st.lists(st.tuples(st.sampled_from([T1, T2, parse_tree("d:1[e:1,f:1]")]), polys), max_size=3).map(
+    TreeCombination
+)
+
+
+@given(st.lists(st.tuples(st.one_of(units, polys), combinations), max_size=4))
+def test_sum_with_unit_and_other_coefficients_matches_add_and_scale(parts):
+    expected = TreeCombination.zero()
+    for coeff, combo in parts:
+        expected = expected + combo.scale(coeff)
+    assert TreeCombination._sum(parts) == expected

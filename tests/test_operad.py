@@ -197,6 +197,34 @@ def test_compose_matches_parent_map_oracle_and_constructor_energies():
     assert cases > 1000
 
 
+def test_compose_lambda_matches_per_map_path_in_every_slot_class():
+    # Every slot of two universes, against the per-map reference path with
+    # exponents from constructor energies and against the parent-map oracle,
+    # grouped by the base case compose_lambda takes.
+    classes = {"one map": 0, "one branch": 0, "two or more branches": 0}
+    for uni in (Universe(3, 3), Universe(4, 2)):
+        ts = {}
+        for t in uni.trees("t"):
+            ts.setdefault(t.total_weight, []).append(t)
+        for S in uni.trees("s"):
+            for v in S.vertices():
+                for T in ts.get(v.weight, ()):
+                    combo = compose_lambda(S, v, T)
+                    d0 = compose_with_map(S, v, T, GraftMap.root_map(S, v, T)).energy
+                    reference = {}
+                    for f in iter_graft_maps(S, v, T):
+                        tree = compose_with_map(S, v, T, f)
+                        reference[tree] = mono(tree.energy - d0)
+                    assert combo == TreeCombination(reference)
+                    assert combo.support() == set(oracle_compose_terms(S, v.label, T))
+                    k = len(v.node.children)
+                    if k == 0 or T.size == 1:
+                        classes["one map"] += 1
+                    else:
+                        classes["one branch" if k == 1 else "two or more branches"] += 1
+    assert min(classes.values()) >= 500, classes
+
+
 def test_compose_lambda_shares_rebuilt_subtrees():
     S = parse_tree("r:1[v:6[b1:1,b2:2[b4:1],b3:1]]")
     T = parse_tree("t1:1[t2:1[t3:1],t4:1[t5:1,t6:1]]")
@@ -238,6 +266,23 @@ def test_compose_at_deepest_vertex_of_deep_chain_does_not_recurse():
     combo = compose_lambda(S, v, T)
     assert combo == TreeCombination(((at_root, 1), (below, LAMBDA)))
     assert nap_compose(S, v, T) == at_root
+
+
+def test_graft_at_deepest_vertex_of_deep_chain_does_not_recurse():
+    # built bottom-up, deeper than the default recursion limit
+    n = 1200
+
+    def chain(bottom):
+        tree = bottom
+        for i in range(n - 1, 0, -1):
+            tree = WeightedTree(f"v{i}", 1, (tree,))
+        return tree
+
+    T = chain(WeightedTree(f"v{n}", 1))
+    S = parse_tree("x:2[y:1]")
+    grafted = graft_at(T, T.ref(f"v{n}"), S)
+    assert grafted == chain(WeightedTree(f"v{n}", 1, (S,)))
+    assert (grafted.size, grafted.total_weight) == (n + 2, n + 3)
 
 
 def test_minimality_of_root_map():

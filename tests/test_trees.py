@@ -404,6 +404,35 @@ def test_vertices_match_recursive_preorder(t):
         assert t.ref("_").path == ()
 
 
+def walk_ref_path(tree, label):
+    """The path of ``label`` by a full walk: the reference for ``ref``."""
+    return next(path for path, node in tree.walk() if node.label == label)
+
+
+def assert_ref_matches_walk(tree):
+    for _, node in tree.walk():
+        assert tree.ref(node.label).path == walk_ref_path(tree, node.label)
+        assert tree.ref(node.label).node is node
+    with pytest.raises(TreeError) as missing:
+        tree.ref("zz")
+    assert str(missing.value) == f"no vertex labeled 'zz' in {tree.encoding}"
+
+
+@given(random_trees(max_size=7), st.integers(0, 6))
+def test_ref_matches_a_walk_on_every_kind_of_tree(t, pick):
+    # built by __init__, every label set cached bottom-up
+    assert_ref_matches_walk(t)
+    # built by _node: compose terms, no label set cached until ref reads one
+    S = WeightedTree("r", 1, (WeightedTree("v", t.total_weight, (WeightedTree("b", 2),)),))
+    for term in compose_lambda(S, S.ref("v"), t).support():
+        assert_ref_matches_walk(term)
+    # built by _node, with one subtree's label set read before the root's
+    renamed = relabel(t, {lab: f"q{lab}" for lab in t.labels})
+    subtrees = [node for _, node in renamed.walk()]
+    subtrees[pick % len(subtrees)].labels
+    assert_ref_matches_walk(renamed)
+
+
 def test_ref_on_deep_chain_does_not_recurse():
     # twice the default recursion limit, built bottom-up; a 5,000-vertex
     # chain would work too but costs about 0.7 GB, since every vertex keeps
