@@ -198,7 +198,6 @@ class LambdaPoly:
 LAMBDA = LambdaPoly.monomial(1)
 
 _MONOMIALS: dict[int, LambdaPoly] = {}
-_UNIT_TERMS = ((0, 1),)
 
 
 def monomial(exp: int) -> LambdaPoly:
@@ -304,13 +303,11 @@ class Combination:
     def _sum(cls, parts, acc: dict | None = None):
         """Sum ``coeff * combo`` over the ``(coeff, combo)`` pairs of ``parts``
         into the term dict ``acc`` (a new one by default), which the result
-        owns; an unvalidated fast path like ``_raw``, for LambdaPoly coeffs.
-        A part whose coefficient is the unit is added without multiplying."""
+        owns; an unvalidated fast path like ``_raw``, for LambdaPoly coeffs."""
         acc = {} if acc is None else acc
         for coeff, combo in parts:
-            unit = coeff._terms == _UNIT_TERMS
             for term, c in combo._terms.items():
-                accumulate(acc, term, c if unit else coeff * c)
+                accumulate(acc, term, coeff * c)
         return cls._raw(acc)
 
     @staticmethod

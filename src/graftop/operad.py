@@ -74,20 +74,33 @@ def iter_graft_maps(S: WeightedTree, v: VertexRef, T: WeightedTree) -> Iterator[
         yield GraftMap(targets)
 
 
-def _replace_at(node: WeightedTree, path: tuple, new: WeightedTree) -> WeightedTree:
-    """``node`` with its vertex at ``path`` replaced by the subtree ``new``;
-    only the vertices along the path are rebuilt, bottom-up in a loop, with
-    the trusted constructor: the caller has checked that ``new`` brings no
-    label of ``node`` other than the replaced vertex's."""
+def _spine(node: WeightedTree, path: tuple) -> tuple[list, WeightedTree]:
+    """The root-to-``path`` spine of ``node``, deepest level first (per
+    level the ancestor's label and weight and the siblings left and right
+    of the path), and the vertex at ``path``."""
     spine = []
     for i in path:
-        spine.append((node, i))
-        node = node.children[i]
-    for node, i in reversed(spine):
-        kids = list(node.children)
-        kids[i] = new
-        new = WeightedTree._node(node.label, node.weight, tuple(kids))
+        kids = node.children
+        spine.append((node.label, node.weight, kids[:i], kids[i + 1:]))
+        node = kids[i]
+    spine.reverse()
+    return spine, node
+
+
+def _respine(spine: list, new: WeightedTree) -> WeightedTree:
+    """``new`` hung in place of the vertex at the bottom of ``spine``, whose
+    levels are rebuilt bottom-up with the trusted constructor: the caller
+    has checked that ``new`` brings no label of the tree other than the
+    replaced vertex's."""
+    for label, weight, left, right in spine:
+        new = WeightedTree._node(label, weight, left + (new,) + right)
     return new
+
+
+def _replace_at(node: WeightedTree, path: tuple, new: WeightedTree) -> WeightedTree:
+    """``node`` with its vertex at ``path`` replaced by the subtree ``new``;
+    only the vertices along the path are rebuilt."""
+    return _respine(_spine(node, path)[0], new)
 
 
 def _hang(node: WeightedTree, hung) -> WeightedTree:
@@ -113,8 +126,7 @@ def _hang(node: WeightedTree, hung) -> WeightedTree:
 
 def _graft(tree: WeightedTree, path: tuple, node: WeightedTree, branch) -> WeightedTree:
     """``tree`` with ``branch`` hung as a new child of ``node``, the vertex at
-    ``path``: the graft kernel, a loop like ``_replace_at``, with ``_hang``'s
-    precondition."""
+    ``path``: the graft kernel, with ``_hang``'s precondition."""
     kids = node.children + (branch,)
     return _replace_at(tree, path, WeightedTree._node(node.label, node.weight, kids))
 
@@ -201,40 +213,26 @@ def compose_lambda(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombin
     excess is the sum, over v's child branches, of the height of the
     branch's target in T times the branch's total weight.
 
-    Base cases: with no branch T itself is inserted, into a one-vertex T
-    all branches hang at its root, and one branch is grafted at each vertex
-    of T by ``_graft``; two or more go through ``_placements``.  The
-    root-to-v spine of S (label, weight and left and right siblings per
-    level) is read once, and each term is built up from it.
+    Base cases: with no branch T itself is inserted, and one branch is
+    grafted at each vertex of T by ``_graft``; two or more go through
+    ``_placements``.  The root-to-v spine of S is read once by ``_spine``
+    and each term is built up from it by ``_respine``.
     """
     _check_compose_args(S, v, T)
-    node = S
-    spine = []
-    for i in v.path:
-        kids = node.children
-        spine.append((node.label, node.weight, kids[:i], kids[i + 1:]))
-        node = kids[i]
+    spine, node = _spine(S, v.path)
     if T.total_weight != node.weight:
         return TreeCombination.zero()
-    spine.reverse()
     branches = node.children
     if not branches:
         placed = ((T, 0),)
-    elif not T.children:
-        placed = ((WeightedTree._node(T.label, T.weight, branches), 0),)
     elif len(branches) == 1:
         b = branches[0]
         placed = [(_graft(T, path, x, b), b.total_weight * len(path)) for path, x in T.walk()]
     else:
         placed = _placements(T, branches, {})
-    terms = {}
-    for tree, excess in placed:
-        for label, weight, left, right in spine:
-            tree = WeightedTree._node(label, weight, left + (tree,) + right)
-        # Distinct maps give each moved branch root a distinct parent label,
-        # so the terms never collide.
-        terms[tree] = monomial(excess)
-    return TreeCombination._raw(terms)
+    # Distinct maps give each moved branch root a distinct parent label, so
+    # the terms never collide.
+    return TreeCombination._raw({_respine(spine, tree): monomial(excess) for tree, excess in placed})
 
 
 def _as_combination(x) -> TreeCombination:

@@ -380,8 +380,11 @@ def _shape_slots(universe: Universe):
 
 def _per_pair(compose):
     """``outer(S, T)``: ``(v, compose(S, v, T))`` for every slot v of S that
-    fits T, kept for the last (S, T) pair only: the associativity laws'
-    triple streams visit every U of one pair in a row."""
+    fits T, kept for the last (S, T) pair only.  The nested law's stream
+    visits every U of one pair in a row, so it composes S with T once per
+    pair; the disjoint law's stream meets a T once per U weight of the
+    host, with other T's in between, so it composes S with T once per
+    (S, T, U weight) group."""
     last = [None, None, None]
 
     def outer(S, T):

@@ -200,7 +200,8 @@ def test_compose_matches_parent_map_oracle_and_constructor_energies():
 def test_compose_lambda_matches_per_map_path_in_every_slot_class():
     # Every slot of two universes, against the per-map reference path with
     # exponents from constructor energies and against the parent-map oracle,
-    # grouped by the base case compose_lambda takes.
+    # counted by slot class: a single map, or one or more branches moved
+    # into a T of two or more vertices.
     classes = {"one map": 0, "one branch": 0, "two or more branches": 0}
     for uni in (Universe(3, 3), Universe(4, 2)):
         ts = {}
