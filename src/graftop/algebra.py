@@ -102,6 +102,10 @@ class LambdaPoly:
 
     def _at(self, value):
         """The normalized coefficient at a normalized parameter value."""
+        if len(self._terms) == 1:
+            (e, c), = self._terms
+            c *= value**e
+            return c if type(c) is int else _as_coeff(c)
         return _as_coeff(sum(c * value**e for e, c in self._terms))
 
     def __bool__(self):
@@ -382,17 +386,24 @@ class Combination:
     def specialize(self, value) -> "Combination":
         """Evaluate every coefficient at a rational parameter value."""
         value = _as_coeff(value)
-        values = ((term, poly._at(value)) for term, poly in self._terms.items())
-        return self._raw({term: _poly(((0, c),)) for term, c in values if c})
+        out, consts = {}, {}  # one constant poly per distinct value
+        for term, poly in self._terms.items():
+            c = poly._at(value)
+            if c:
+                const = consts.get(c)
+                if const is None:
+                    const = consts[c] = _poly(((0, c),))
+                out[term] = const
+        return self._raw(out)
 
     def __str__(self):
         if not self._terms:
             return "0"
-        parts = []
+        parts, shown = [], {}  # each distinct coefficient object formatted once
         for term, poly in self.terms():
-            ps = str(poly)
-            if len(poly) > 1:
-                ps = f"({ps})"
+            ps = shown.get(id(poly))
+            if ps is None:
+                ps = shown[id(poly)] = f"({poly})" if len(poly) > 1 else str(poly)
             parts.append(f"{ps} * {self._format_term(term)}")
         return " + ".join(parts)
 

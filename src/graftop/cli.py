@@ -4,7 +4,9 @@ suites.
 
 Exit codes: 0 success (including weight-mismatch compositions, which print
 ``0``), 1 verification failure, 2 parse or usage error, 3 unexpected
-internal error (for example a tree nested too deeply to parse).
+internal error (for example a tree nested too deeply to parse).  A reader
+that closes stdout early is no error: the run ends quietly, with the code
+it has when it stops printing.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -168,12 +171,14 @@ def _cmd_check(args) -> int:
             3 if args.nmax is None else args.nmax, 3 if args.wmax is None else args.wmax
         )
     reports = run_suite(args.suite, universe, weight_bound=args.weight_bound)
+    # set before printing, so that a reader closing the pipe cannot change it
+    args.status = 0 if all(r.ok for r in reports) else 1
     if args.json:
         print(reports_to_json(reports))
     else:
         for report in reports:
             print(report.summary())
-    return 0 if all(r.ok for r in reports) else 1
+    return args.status
 
 
 def _positive_int(text: str) -> int:
@@ -295,7 +300,17 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early, which is no failure here.  Point
+        # stdout at devnull so that the flush at exit does not raise again
+        # (the recipe in the Python docs' note on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return getattr(args, "status", 0)
     except (ParseError, TreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

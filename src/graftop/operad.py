@@ -139,7 +139,12 @@ def _placements(x: WeightedTree, hung: tuple, memo: dict) -> list:
     Memoized in ``memo`` for one call on the identities of x and the
     branches, read first, so each distinct rebuilt subtree is one object
     and a subtree that receives no branch is x's own.  Recurses once per
-    level of ``x``, like ``_hang``, and has the same precondition."""
+    level of ``x``, like ``_hang``, and has the same precondition.
+
+    A share is a bitmask over ``hung``.  The children are folded in one at
+    a time: after each, ``partial`` maps the mask of the branches sent
+    below so far to the ``(child trees, excess)`` rows that send them; the
+    branches outside the final mask stay at x."""
     key = (id(x), *map(id, hung))
     if key in memo:
         return memo[key]
@@ -147,27 +152,39 @@ def _placements(x: WeightedTree, hung: tuple, memo: dict) -> list:
     if not kids:
         out = [(WeightedTree._node(x.label, x.weight, hung), 0)]
     else:
-        out = []
-        n = len(kids)
-        unchanged = [((kid, 0),) for kid in kids]
-        for choice in itertools.product(range(n + 1), repeat=len(hung)):
-            here = []
-            groups: dict[int, list] = {}
-            sunk = 0
-            for branch, i in zip(hung, choice):
-                if i == n:
-                    here.append(branch)
-                else:
-                    groups.setdefault(i, []).append(branch)
-                    sunk += branch.total_weight
-            options = unchanged.copy()
-            for i, group in groups.items():
-                options[i] = _placements(kids[i], tuple(group), memo)
-            here = tuple(here)
-            for combo in itertools.product(*options):
-                kid_trees, excesses = zip(*combo)
-                node = WeightedTree._node(x.label, x.weight, kid_trees + here)
-                out.append((node, sunk + sum(excesses)))
+        shares, sunk = [()], [0]  # per mask: its branches in order, their total weight
+        for branch in hung:
+            shares += [s + (branch,) for s in shares]
+            sunk += [w + branch.total_weight for w in sunk]
+        full = len(shares) - 1
+        partial = {0: [((), 0)]}
+        for kid in kids:
+            folded: dict[int, list] = {}
+            below = {0: ((kid, 0),)}  # per share: the kid's placements of it, sunk weight included
+            for sent, rows in partial.items():
+                free = full ^ sent
+                share = free
+                while True:  # every share of the free branches, the empty one last
+                    placed = below.get(share)
+                    if placed is None:
+                        w = sunk[share]
+                        placed = below[share] = [
+                            (t, w + e) for t, e in _placements(kid, shares[share], memo)
+                        ]
+                    folded.setdefault(sent | share, []).extend(
+                        [(trees + (t,), e + f) for trees, e in rows for t, f in placed]
+                    )
+                    if not share:
+                        break
+                    share = (share - 1) & free
+            partial = folded
+        node = WeightedTree._node
+        label, weight = x.label, x.weight
+        out = [
+            (node(label, weight, trees + shares[full ^ sent]), e)
+            for sent, rows in partial.items()
+            for trees, e in rows
+        ]
     memo[key] = out
     return out
 

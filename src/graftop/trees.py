@@ -119,6 +119,14 @@ class WeightedTree:
             # Hanging a branch one level down adds its full weight.
             node.energy = c.energy + c.total_weight
             node.size = 1 + c.size
+        elif len(kids) == 2:
+            a, b = kids
+            if b.encoding < a.encoding:  # strict, so equal siblings keep their order as in sorted
+                a, b = kids = b, a
+            node.encoding = f"{label}:{weight}[{a.encoding},{b.encoding}]"
+            node.total_weight = weight + a.total_weight + b.total_weight
+            node.energy = a.energy + b.energy + a.total_weight + b.total_weight
+            node.size = 1 + a.size + b.size
         else:
             total, energy, size = weight, 0, 1
             if kids:
@@ -208,20 +216,42 @@ class WeightedTree:
         raise TreeError(f"no vertex labeled {label!r} in {self.encoding}")
 
 
-@dataclass(frozen=True)
 class VertexRef:
     """Handle to one vertex inside one tree, as a root path of child indices.
 
     A ref is only meaningful against the tree it was issued from;
     operations reject refs whose ``tree`` does not match.
+
+    An immutable value, equal and hashed by ``(tree, path)``: ``tree`` and
+    ``path`` are read-only properties and there is no instance dict, so
+    assigning to them or to a new attribute raises ``AttributeError``.
+    Plain slots behind the properties keep construction cheap, since refs
+    are built per vertex; nothing writes the slots after ``__init__``.
     """
 
-    tree: WeightedTree
-    path: tuple = ()
+    __slots__ = ("_tree", "_path")
+
+    def __init__(self, tree: WeightedTree, path: tuple = ()):
+        self._tree = tree
+        self._path = path
+
+    tree = property(attrgetter("_tree"))
+    path = property(attrgetter("_path"))
+
+    def __eq__(self, other):
+        if other.__class__ is not VertexRef:
+            return NotImplemented
+        return (self._tree, self._path) == (other._tree, other._path)
+
+    def __hash__(self):
+        return hash((self._tree, self._path))
+
+    def __repr__(self):
+        return f"VertexRef(tree={self._tree!r}, path={self._path!r})"
 
     @property
     def node(self) -> WeightedTree:
-        return self.tree.node_at(self.path)
+        return self._tree.node_at(self._path)
 
     @property
     def label(self) -> str:
@@ -233,7 +263,7 @@ class VertexRef:
 
     @property
     def height(self) -> int:
-        return len(self.path)
+        return len(self._path)
 
 
 @dataclass(frozen=True)

@@ -217,10 +217,46 @@ def test_specialize_commutes_with_add(e1, e2, x):
     assert specialize(a + b, x) == specialize(a, x) + specialize(b, x)
 
 
+@pytest.mark.parametrize("value", [0, 1, -1, Fraction(1, 2), 3])
+def test_specialize_matches_evaluate_term_by_term(value):
+    polys = [
+        LambdaPoly.monomial(0), LambdaPoly.monomial(3), LambdaPoly.monomial(2, -4),
+        LambdaPoly.monomial(1, Fraction(-3, 4)), LambdaPoly.constant(Fraction(5, 2)),
+        parse_poly("1 + -1*L"), parse_poly("2 + -3*L^2 + L^4"), parse_poly("1/2 + L + -3/2*L^3"),
+    ]
+    shared = LambdaPoly.monomial(2)
+    terms = [(parse_tree(f"x{i}:1"), p) for i, p in enumerate(polys)]
+    terms += [(parse_tree("y:1"), shared), (parse_tree("z:2"), shared)]
+    c = TreeCombination(terms)
+    out = c.specialize(value)
+    for tree, p in terms:
+        # the slow path and an independent sum over the terms
+        expected = p.evaluate(value)
+        assert expected == sum(Fraction(k) * Fraction(value) ** e for e, k in p.terms())
+        if expected:
+            got = out.coefficient(tree).terms()
+            assert got == ((0, expected),)
+            assert type(got[0][1]) is (int if expected.denominator == 1 else Fraction)
+        else:
+            assert tree not in out.support()
+    assert len(out) == sum(1 for _, p in terms if p.evaluate(value))
+
+
 def test_combination_print_order_and_format():
     c = TreeCombination(((T2, LAMBDA + LambdaPoly.one()), (T1, LambdaPoly.one())))
     assert str(c) == "1 * a:1[b:2] + (1 + L) * c:3"
     assert str(TreeCombination.zero()) == "0"
+
+
+def test_combination_print_with_a_shared_multi_term_coefficient():
+    shared = parse_poly("1 + -1/2*L^2")
+    c = TreeCombination((
+        (T1, shared), (T2, LAMBDA), (parse_tree("d:1"), shared), (parse_tree("e:2[f:1]"), -2 * LAMBDA**3),
+    ))
+    assert c.coefficient(T1) is c.coefficient(parse_tree("d:1"))
+    assert str(c) == (
+        "(1 + -1/2*L^2) * a:1[b:2] + L * c:3 + (1 + -1/2*L^2) * d:1 + -2*L^3 * e:2[f:1]"
+    )
 
 
 # --- coefficient representation ---------------------------------------------------

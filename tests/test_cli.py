@@ -2,10 +2,14 @@
 
 import itertools
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import graftop
 from graftop.cli import main
 
 
@@ -295,3 +299,37 @@ def test_dims_prints_counts_beyond_the_int_digit_limit(capsys):
     assert code == 0
     assert out == '{"n": 2000, "dim": ' + expected + "}\n"
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def run_with_closed_stdout(*argv):
+    """Run the CLI in a child whose stdout is a pipe nobody reads: the read
+    end is closed before the child starts, so its first write to stdout
+    fails with a broken pipe."""
+    src = str(Path(graftop.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "graftop.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (("compose", "-S", "a:1[b:3[c:2,d:1]]", "-v", "b", "-T", "e:2[h:1]"), 0),
+        (("check", "--suite", "all", "--nmax", "2", "--wmax", "2", "--json"), 0),
+        # a failed check keeps its status: it is known before anything prints
+        (("check", "--suite", "assoc", "--nmax", "1"), 1),
+    ],
+    ids=["compose", "check-ok", "check-failed"],
+)
+def test_closed_stdout_is_not_an_internal_error(argv, status):
+    code, err = run_with_closed_stdout(*argv)
+    assert (code, err) == (status, "")

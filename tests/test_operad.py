@@ -226,6 +226,32 @@ def test_compose_lambda_matches_per_map_path_in_every_slot_class():
     assert min(classes.values()) >= 500, classes
 
 
+@pytest.mark.parametrize(
+    "host, inserted",
+    [
+        # five branches into five-vertex trees with a three-child vertex
+        ("r:1[v:7[b1:1,b2:2[c1:1],b3:1,b4:3,b5:1],z:2]", "t1:2[t2:1,t3:1[t5:1],t4:2]"),
+        ("r:1[v:7[b1:1,b2:2[c1:1],b3:1,b4:3,b5:1]]", "t1:2[t2:1[t3:1,t4:2,t5:1]]"),
+        # four branches into a seven-vertex tree
+        ("r:2[q:1[v:10[b1:2,b2:1[b5:3],b3:1,b4:1]],z:1]", "t1:1[t2:2[t3:1[t4:1]],t5:1[t6:3,t7:1]]"),
+    ],
+    ids=["5-into-5-root-fan", "5-into-5-inner-fan", "4-into-7"],
+)
+def test_compose_lambda_matches_per_map_path_on_wide_shapes(host, inserted):
+    # the shapes of the largest benchmark requests, term by term against the
+    # per-map reference path with exponents from constructor energies
+    S, T = parse_tree(host), parse_tree(inserted)
+    v = S.ref("v")
+    combo = compose_lambda(S, v, T)
+    d0 = compose_with_map(S, v, T, GraftMap.root_map(S, v, T)).energy
+    reference = {}
+    for f in iter_graft_maps(S, v, T):
+        tree = compose_with_map(S, v, T, f)
+        reference[tree] = mono(tree.energy - d0)
+    assert len(reference) == T.size ** len(v.node.children)
+    assert combo == TreeCombination(reference)
+
+
 def test_compose_lambda_shares_rebuilt_subtrees():
     S = parse_tree("r:1[v:6[b1:1,b2:2[b4:1],b3:1]]")
     T = parse_tree("t1:1[t2:1[t3:1],t4:1[t5:1,t6:1]]")

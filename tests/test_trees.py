@@ -384,6 +384,65 @@ def test_vertex_ref_accessors():
     assert c.node == parse_tree("c:2")
 
 
+def test_vertex_ref_is_an_immutable_value():
+    t = parse_tree("a:1[b:3[c:2]]")
+    c = t.ref("c")
+    # equal and hashed by (tree, path); the tree compares by encoding
+    twin = VertexRef(parse_tree("a:1[b:3[c:2]]"), (0, 0))
+    assert c == twin and hash(c) == hash(twin) == hash((t, (0, 0)))
+    assert c != VertexRef(t, (0,)) and c != (t, (0, 0))
+    assert len({c, twin, t.ref("b")}) == 2
+    assert repr(c) == "VertexRef(tree=WeightedTree('a:1[b:3[c:2]]'), path=(0, 0))"
+    for name in ("tree", "path", "label", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+    assert c.tree is t and c.path == (0, 0)
+
+
+def oracle_fields(tree):
+    """Encoding, total weight, energy and size by a plain recursion over the
+    children, which sorts their encodings itself."""
+    kids = [oracle_fields(c) for c in tree.children]
+    encoding = f"{tree.label}:{tree.weight}"
+    if kids:
+        encoding += "[" + ",".join(sorted(k[0] for k in kids)) + "]"
+    total = tree.weight + sum(k[1] for k in kids)
+    energy = sum(k[2] + k[1] for k in kids)
+    return encoding, total, energy, 1 + sum(k[3] for k in kids)
+
+
+def assert_two_child_node(label, weight, a, b):
+    node = WeightedTree._node(label, weight, (a, b))
+    reference = parse_tree(node.encoding)
+    for field in ("label", "weight", "encoding", "total_weight", "energy", "size", "labels"):
+        assert getattr(node, field) == getattr(reference, field), field
+    assert node.children == reference.children
+    assert (node.encoding, node.total_weight, node.energy, node.size) == oracle_fields(node)
+    # the children are the objects passed in, in sorted's (stable) order
+    expected = tuple(sorted((a, b), key=lambda c: c.encoding))
+    assert all(x is y for x, y in zip(node.children, expected))
+    return node
+
+
+def test_two_child_node_matches_the_parser_in_either_order():
+    a, b = parse_tree("b:2[c:1]"), parse_tree("d:1[e:3,f:1]")
+    for x, y in ((a, b), (b, a)):
+        node = assert_two_child_node("r", 4, x, y)
+        assert node.encoding == "r:4[b:2[c:1],d:1[e:3,f:1]]"
+        assert node.children[0] is a and node.children[1] is b
+    for x, y in itertools.permutations(enumerate_unlabeled_trees(3, 2), 2):
+        assert_two_child_node("_", 1, x, y)
+
+
+def test_two_child_node_keeps_equal_unlabeled_siblings_in_order():
+    # equal encodings, distinct objects: the first one passed stays first
+    x, y = parse_tree("_:1[_:2]"), parse_tree("_:1[_:2]")
+    node = assert_two_child_node("_", 3, x, y)
+    assert node.children[0] is x and node.children[1] is y
+    node = assert_two_child_node("_", 3, y, x)
+    assert node.children[0] is y and node.children[1] is x
+
+
 def recursive_preorder(tree, path=()):
     # independent reference: the plain recursive walk
     out = [(path, tree)]
