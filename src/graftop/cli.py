@@ -4,9 +4,9 @@ suites.
 
 Exit codes: 0 success (including weight-mismatch compositions, which print
 ``0``), 1 verification failure, 2 parse or usage error, 3 unexpected
-internal error (for example a tree nested too deeply to parse).  A reader
-that closes stdout early is no error: the run ends quietly, with the code
-it has when it stops printing.
+internal error (for example a bracket expression nested too deeply to
+parse).  A reader that closes stdout early is no error: the run ends
+quietly, with the code it has when it stops printing.
 """
 
 from __future__ import annotations

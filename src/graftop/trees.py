@@ -11,6 +11,7 @@ is equality up to isomorphism.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Mapping, Sequence
@@ -23,6 +24,10 @@ _LABEL_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 )
 _DIGITS = frozenset("0123456789")
+# A well-formed vertex head, ``label:weight``, with the whitespace around
+# it: the label from _LABEL_CHARS and the weight from _DIGITS.  ``\s`` and
+# ``str.isspace`` agree on every character.
+_HEAD = re.compile(r"\s*([0-9A-Za-z_]+)\s*:\s*([0-9]+)\s*")
 
 _BY_ENCODING = attrgetter("encoding")
 _new = object.__new__
@@ -482,7 +487,14 @@ class _TreeParser(_Scanner):
             self.error("expected a weight")
         return int(digits)
 
-    def top(self) -> WeightedTree:
+    def head(self) -> tuple[str, int]:
+        """The label and weight of the vertex at the cursor, with the
+        whitespace around them consumed."""
+        m = _HEAD.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+            return m[1], int(m[2])
+        # Malformed: read it step by step to fail at the exact position.
         self.skip_ws()
         label = self.word()
         self.skip_ws()
@@ -492,22 +504,40 @@ class _TreeParser(_Scanner):
         self.skip_ws()
         w = self.number()
         self.skip_ws()
-        children = []
-        if self.peek() == "[":
-            self.pos += 1
-            children.append(self.top())
-            self.skip_ws()
-            while self.peek() == ",":
+        return label, w
+
+    def top(self) -> WeightedTree:
+        # The open vertices above the cursor, (label, weight, children read
+        # so far), are kept on a stack, so nesting depth is not bounded by
+        # recursion.
+        stack = []
+        while True:
+            label, w = self.head()
+            if self.peek() == "[":
                 self.pos += 1
-                children.append(self.top())
+                stack.append((label, w, []))
+                continue
+            kids = ()
+            # Build the vertex just read, then each open vertex whose ']'
+            # follows, until a ',' starts a sibling.
+            while True:
+                try:
+                    tree = WeightedTree(label, w, kids)
+                except TreeError as exc:
+                    raise ParseError(str(exc), self.pos) from exc
+                if not stack:
+                    return tree
+                label, w, children = stack[-1]
+                children.append(tree)
                 self.skip_ws()
-            if self.peek() != "]":
-                self.error("expected ',' or ']'")
-            self.pos += 1
-        try:
-            return WeightedTree(label, w, tuple(children))
-        except TreeError as exc:
-            raise ParseError(str(exc), self.pos) from exc
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                if self.peek() != "]":
+                    self.error("expected ',' or ']'")
+                self.pos += 1
+                stack.pop()
+                kids = tuple(children)
 
 
 def parse_tree(text: str) -> WeightedTree:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,23 +140,136 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 # Check runner.
 
-def _run(name: str, instances) -> CheckReport:
-    """Run one check over ``instances``, a lazy stream that yields, per
-    instance, the iterable of that instance's failure descriptions.  Keeps
-    the first ``_EXAMPLE_CAP`` descriptions and stops after the instance
-    that brings the failure count to ``_FAILURE_SCAN_CAP``."""
+_CHUNK = 32  # instances per unit of work when a check is sharded
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run(name: str, instances, shard: bool = True) -> CheckReport:
+    """Run one check over ``instances``, a stream that yields, per instance,
+    the lazy iterable of that instance's failure descriptions.  Keeps the
+    first ``_EXAMPLE_CAP`` descriptions and stops after the instance that
+    brings the failure count to ``_FAILURE_SCAN_CAP``.
+
+    With ``shard`` set, the stream is cut into chunks of ``_CHUNK``
+    instances and scanned by forked children, one per available CPU, while
+    the parent only merges; the report is the in-process scan's in every
+    field apart from ``seconds``.  The scan stays in-process with one CPU,
+    without ``os.fork``, or while another thread is alive.  A fault gate
+    passes ``shard=False``: it stops within a few dozen instances, while
+    every child would scan on to its own cap."""
     start = time.perf_counter()
+    shards = _cpus() if shard and hasattr(os, "fork") and threading.active_count() == 1 else 1
+    if shards > 1:
+        instances = list(instances)
+        shards = min(shards, -(-len(instances) // _CHUNK))
+    records = _forked(instances, shards) if shards > 1 else _scan(instances)
     count = failures = 0
     examples: list[str] = []
-    for found in instances:
-        count += 1
-        for description in found:
-            failures += 1
-            if len(examples) < _EXAMPLE_CAP:
-                examples.append(description)
+    for index, found in records:
+        if found is None:
+            count = index
+            break
+        if isinstance(found, Exception):
+            raise found
+        failures += len(found)
+        examples += found[: _EXAMPLE_CAP - len(examples)]
         if failures >= _FAILURE_SCAN_CAP:
+            count = index + 1
             break
     return CheckReport(name, count, failures, tuple(examples), time.perf_counter() - start)
+
+
+def _scan(instances, shard: int = 0, shards: int = 1):
+    """Scan the chunks ``shard``, ``shard + shards``, ... of the list
+    ``instances``, or the whole stream when ``shards`` is 1.  Yields
+    ``(index, descriptions)`` for each failing instance, and stops after the
+    one that brings this scan's failure count to ``_FAILURE_SCAN_CAP``; an
+    instance that raises yields ``(index, exception)`` and ends the scan.  A
+    scan that runs out yields ``(number of instances, None)``.
+
+    Sharded scans stop no earlier than the serial one: a shard reaches its
+    own cap at or after the instance where all shards together reach it."""
+    if shards == 1:
+        indexed = enumerate(instances)
+    else:
+        step, n = _CHUNK * shards, len(instances)
+        indexed = (
+            (i, instances[i])
+            for first in range(shard * _CHUNK, n, step)
+            for i in range(first, min(first + _CHUNK, n))
+        )
+    failures = index = end = 0
+    try:
+        for index, found in indexed:
+            end = index + 1
+            descriptions = list(found)
+            if descriptions:
+                yield index, descriptions
+                failures += len(descriptions)
+                if failures >= _FAILURE_SCAN_CAP:
+                    return
+    except Exception as exc:
+        yield index, exc
+        return
+    yield (len(instances) if shards > 1 else end), None
+
+
+def _forked(instances: list, shards: int) -> list:
+    """The records of ``_scan`` over ``instances`` in index order, shard k
+    scanned in the k-th of ``shards`` forked children.  A child sends its
+    records back pickled through a pipe and leaves through ``os._exit``, so
+    it neither flushes the stdio buffers it inherited nor runs exit hooks;
+    every child is waited for, whatever happens in the parent."""
+    import pickle
+
+    children = []  # [pid, read end of its pipe]
+    results = []
+    try:
+        for shard in range(shards):
+            read, write = os.pipe()
+            children.append([0, read])
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(instances, shard, shards, write)
+            finally:
+                os.close(write)
+            children[-1][0] = pid
+        for _, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                results.append(pipe.read())
+    finally:
+        for pid, read in children:
+            os.close(read)
+            if pid:
+                os.waitpid(pid, 0)
+    if not all(results):
+        raise RuntimeError("a check worker exited without sending its results")
+    records = [record for data in results for record in pickle.loads(data)]
+    records.sort(key=lambda record: record[0])
+    return records
+
+
+def _child(instances: list, shard: int, shards: int, write: int) -> None:
+    """Scan one shard, write its pickled records to ``write`` and exit; a
+    child that cannot send them exits with nothing written."""
+    import pickle
+
+    status = 1
+    try:
+        records = pickle.dumps(list(_scan(instances, shard, shards)))
+        with open(write, "wb") as pipe:
+            pipe.write(records)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _law(holds, names: str):
@@ -428,7 +543,7 @@ def check_nested_associativity(universe: Universe | None = None, fault: bool = F
         for wu in {node.weight for _, node in T.walk()}
         for U in us.get(wu, ())
     )
-    return _run("nested-associativity", map(_law(holds, "STU"), triples))
+    return _run("nested-associativity", map(_law(holds, "STU"), triples), shard=not fault)
 
 
 def check_disjoint_associativity(universe: Universe | None = None, fault: bool = False) -> CheckReport:
@@ -474,7 +589,7 @@ def check_disjoint_associativity(universe: Universe | None = None, fault: bool =
         for T in ts.get(wt, ())
         for U in us.get(wu, ())
     )
-    return _run("disjoint-associativity", map(_law(holds, "STU"), triples))
+    return _run("disjoint-associativity", map(_law(holds, "STU"), triples), shard=not fault)
 
 
 def check_unit_laws(universe: Universe | None = None, fault: bool = False) -> CheckReport:
@@ -501,7 +616,7 @@ def check_unit_laws(universe: Universe | None = None, fault: bool = False) -> Ch
             if right_unit(T, v) != TreeCombination.of(T):
                 yield f"right unit on T={T.encoding} at v={v.label}"
 
-    return _run("unit-laws", map(failures, universe.trees("a")))
+    return _run("unit-laws", map(failures, universe.trees("a")), shard=not fault)
 
 
 def check_equivariance(
@@ -512,8 +627,7 @@ def check_equivariance(
     rng = random.Random(seed)
     pool = [f"p{i}" for i in range(40)]
 
-    def failures(S, v, T):
-        names = rng.sample(pool, len(S.labels) + len(T.labels))
+    def failures(S, v, T, names):
         sigma = dict(zip(sorted(S.labels), names[: len(S.labels)]))
         tau = dict(zip(sorted(T.labels), names[len(S.labels):]))
         S2 = relabel(S, sigma)
@@ -533,7 +647,12 @@ def check_equivariance(
         if left != right:
             yield f"S={S.encoding} v={v.label} T={T.encoding}"
 
-    return _run("equivariance", itertools.starmap(failures, _slots(universe)))
+    # The names are drawn in the stream, in instance order, so that every
+    # process that scans a share of it sees the same draws.
+    instances = (
+        (S, v, T, rng.sample(pool, len(S.labels) + len(T.labels))) for S, v, T in _slots(universe)
+    )
+    return _run("equivariance", itertools.starmap(failures, instances), shard=not fault)
 
 
 def check_minimality(universe: Universe | None = None, fault: bool = False) -> CheckReport:
@@ -554,7 +673,8 @@ def check_minimality(universe: Universe | None = None, fault: bool = False) -> C
         if T.size >= 2 and v.node.children and zero_exponents != 1:
             yield f"minimal map not unique S={S.encoding} v={v.label} T={T.encoding}"
 
-    return _run("root-map-minimality", itertools.starmap(failures, _slots(universe)))
+    instances = itertools.starmap(failures, _slots(universe))
+    return _run("root-map-minimality", instances, shard=not fault)
 
 
 def check_deformed_identity(universe: Universe | None = None, fault: bool = False) -> CheckReport:
@@ -596,7 +716,7 @@ def check_deformed_identity(universe: Universe | None = None, fault: bool = Fals
         stream = itertools.chain(
             stream, itertools.starmap(oracle_failures, itertools.product(ones, repeat=3))
         )
-    return _run("deformed-identity", stream)
+    return _run("deformed-identity", stream, shard=not fault)
 
 
 def check_specializations(universe: Universe | None = None, fault: bool = False) -> CheckReport:
@@ -636,7 +756,7 @@ def check_specializations(universe: Universe | None = None, fault: bool = False)
     stream = itertools.starmap(failures, _shape_slots(universe))
     if not fault:
         stream = itertools.chain(stream, itertools.starmap(weighted_failures, _slots(universe)))
-    return _run("specializations", stream)
+    return _run("specializations", stream, shard=not fault)
 
 
 def check_roundtrip_psi_phi(universe: Universe | None = None, fault: bool = False) -> CheckReport:
@@ -661,7 +781,7 @@ def check_roundtrip_psi_phi(universe: Universe | None = None, fault: bool = Fals
                     yield f"branch order {order} on T={T.encoding}"
                     return
 
-    return _run("bracket-roundtrip", map(failures, universe.trees("x")))
+    return _run("bracket-roundtrip", map(failures, universe.trees("x")), shard=not fault)
 
 
 def check_morphisms_i_j(
@@ -683,7 +803,8 @@ def check_morphisms_i_j(
         if not morphism_j_check(S, T, v, weight_bound):
             yield f"root-only morphism S={S.encoding} v={v.label} T={T.encoding}"
 
-    return _run("morphism-truncations", itertools.starmap(failures, _shape_slots(universe)))
+    instances = itertools.starmap(failures, _shape_slots(universe))
+    return _run("morphism-truncations", instances, shard=not fault)
 
 
 SUITES = {

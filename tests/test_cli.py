@@ -246,13 +246,21 @@ def test_dims_rejects_nonpositive_wmax(capsys, value):
 
 
 def test_internal_error_exits_3_without_traceback(capsys):
-    # a tree nested deeper than the parser's recursion allows
-    deep = "".join(f"v{i}:1[" for i in range(3000)) + "w:1" + "]" * 3000
-    code, out, err = run(capsys, "arrow", "-T", deep, "-S", "z:1")
+    # a bracket expression nested deeper than its parser's recursion allows
+    deep = "(" * 3000 + "g0_1" + "".join(f" g{i}_1)" for i in range(1, 3001))
+    code, out, err = run(capsys, "phi", "-e", deep)
     assert code == 3
     assert not out
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: internal error: RecursionError") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_deep_chain_host_composes(capsys):
+    # the tree parser keeps its own stack, so nesting depth is no limit
+    chain = "".join(f"c{i}:1[" for i in range(1499, 0, -1)) + "c0:1" + "]" * 1499
+    code, out, err = run(capsys, "compose", "-S", chain, "-v", "c0", "-T", "x:1")
+    assert (code, err) == (0, "")
+    assert out == "1 * " + chain.replace("c0:1", "x:1") + "\n"
 
 
 @pytest.mark.parametrize(

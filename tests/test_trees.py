@@ -376,6 +376,41 @@ def test_parse_errors_carry_positions(bad, pos):
     assert err.value.position == pos
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("a:1[b:1,b:1]", "duplicate labels in a:1[b:1,b:1] (at position 12)"),
+        ("a:1[b:1[c:1]x]", "expected ',' or ']' (at position 12)"),
+        ("a:1[b:1[c:1,_:1]]", "cannot mix labeled and unlabeled vertices (at position 16)"),
+        ("a:1[ b:2 [c:1 , d:1 ] , e:x]", "expected a weight (at position 26)"),
+        ("a:1[b:1[c:1,d:1]", "expected ',' or ']' (at position 16)"),
+        ("a:1[b:1[c:1,a:2]]  ", "duplicate labels in a:1[b:1[a:2,c:1]] (at position 17)"),
+    ],
+)
+def test_parse_errors_in_nested_input_keep_message_and_position(bad, message):
+    with pytest.raises(ParseError) as err:
+        parse_tree(bad)
+    assert str(err.value) == message
+
+
+def test_parse_skips_any_unicode_whitespace():
+    # the same characters str.isspace accepts, between every token
+    assert parse_tree("\u2003a\x1c:\u00a01 [ b\n:\t2\u3000]\u2029").encoding == "a:1[b:2]"
+
+
+def test_parse_deep_chain_does_not_recurse():
+    # deeper than the default recursion limit
+    n = 1500
+    text = "".join(f"v{i}:1[" for i in range(n - 1)) + f"v{n - 1}:1" + "]" * (n - 1)
+    chain = WeightedTree(f"v{n - 1}", 1)
+    for i in range(n - 2, -1, -1):
+        chain = WeightedTree(f"v{i}", 1, (chain,))
+    assert parse_tree(text) == chain
+    with pytest.raises(ParseError) as err:
+        parse_tree(text[:-1])
+    assert err.value.position == len(text) - 1
+
+
 def test_vertex_ref_accessors():
     t = parse_tree("a:1[b:3[c:2]]")
     c = t.ref("c")
