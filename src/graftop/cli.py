@@ -18,12 +18,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .algebra import Combination
 from .errors import ParseError, TreeError
 from .operad import arrow_lambda, butcher_product, circ_sum, compose_lambda, nap_compose
 from .presentation import parse_bracket, phi, psi
 from .trees import enumerate_labeled_trees, parse_tree
-from .verify import Universe, reports_to_json, run_suite
+from .verify import SUITES, Universe, reports_to_json, run_suite
 
 
 def _parse_lambda(text: str) -> Fraction | None:
@@ -35,46 +34,29 @@ def _parse_lambda(text: str) -> Fraction | None:
         raise ParseError(f"bad rational {text!r}", 0)
 
 
-def _combination_json(combo: Combination, key: str) -> dict:
-    return {
-        "terms": [
+def _slot(args):
+    """The host ``-S``, its vertex labeled ``-v`` and the inserted tree ``-T``."""
+    S, T = parse_tree(args.S), parse_tree(args.T)
+    return S, S.ref(args.vertex), T
+
+
+def _cmd_combination(args) -> int:
+    """Print the combination ``args.compute(args)``, specialized at
+    ``--lambda``, each term's text under ``args.key`` in the JSON form."""
+    combo = args.compute(args)
+    if args.lam is not None:
+        combo = combo.specialize(args.lam)
+    if args.json:
+        terms = [
             {
                 "coeff": [[e, c.numerator, c.denominator] for e, c in poly.terms()],
-                key: str(term),
+                args.key: str(term),
             }
             for term, poly in combo.terms()
         ]
-    }
-
-
-def _emit_combination(combo: Combination, as_json: bool, key: str) -> None:
-    if as_json:
-        print(json.dumps(_combination_json(combo, key)))
+        print(json.dumps({"terms": terms}))
     else:
         print(str(combo))
-
-
-def _maybe_specialize(combo: Combination, lam: Fraction | None) -> Combination:
-    return combo if lam is None else combo.specialize(lam)
-
-
-def _cmd_compose(args) -> int:
-    S = parse_tree(args.S)
-    T = parse_tree(args.T)
-    combo = _maybe_specialize(compose_lambda(S, S.ref(args.vertex), T), args.lam)
-    _emit_combination(combo, args.json, "tree")
-    return 0
-
-
-def _cmd_arrow(args) -> int:
-    combo = _maybe_specialize(arrow_lambda(parse_tree(args.T), parse_tree(args.S)), args.lam)
-    _emit_combination(combo, args.json, "tree")
-    return 0
-
-
-def _cmd_circsum(args) -> int:
-    combo = _maybe_specialize(circ_sum(parse_tree(args.T), parse_tree(args.S)), args.lam)
-    _emit_combination(combo, args.json, "tree")
     return 0
 
 
@@ -85,26 +67,12 @@ def _cmd_butcher(args) -> int:
 
 
 def _cmd_nap(args) -> int:
-    S = parse_tree(args.S)
-    T = parse_tree(args.T)
-    v = S.ref(args.vertex)
+    S, v, T = _slot(args)
     if T.total_weight != v.weight:
         print(json.dumps({"terms": []}) if args.json else "0")
         return 0
     tree = nap_compose(S, v, T)
     print(json.dumps({"tree": tree.encoding}) if args.json else tree.encoding)
-    return 0
-
-
-def _cmd_psi(args) -> int:
-    combo = _maybe_specialize(psi(parse_tree(args.T)), args.lam)
-    _emit_combination(combo, args.json, "expr")
-    return 0
-
-
-def _cmd_phi(args) -> int:
-    combo = _maybe_specialize(phi(parse_bracket(args.expr)), args.lam)
-    _emit_combination(combo, args.json, "tree")
     return 0
 
 
@@ -214,27 +182,26 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
+    def prints_combination(p, compute, key="tree"):
+        add_lambda(p)
+        add_json(p)
+        p.set_defaults(handler=_cmd_combination, compute=compute, key=key)
+
     p = sub.add_parser("compose", help="graded partial composition at a labeled vertex")
     p.add_argument("-S", required=True, help="host tree")
     p.add_argument("-v", dest="vertex", required=True, help="label of the slot vertex")
     p.add_argument("-T", required=True, help="inserted tree")
-    add_lambda(p)
-    add_json(p)
-    p.set_defaults(handler=_cmd_compose)
+    prints_combination(p, lambda a: compose_lambda(*_slot(a)))
 
     p = sub.add_parser("arrow", help="deformed grafting product T <- S")
     p.add_argument("-T", required=True)
     p.add_argument("-S", required=True)
-    add_lambda(p)
-    add_json(p)
-    p.set_defaults(handler=_cmd_arrow)
+    prints_combination(p, lambda a: arrow_lambda(parse_tree(a.T), parse_tree(a.S)))
 
     p = sub.add_parser("circsum", help="sum of compositions over all slots of T")
     p.add_argument("-T", required=True)
     p.add_argument("-S", required=True)
-    add_lambda(p)
-    add_json(p)
-    p.set_defaults(handler=_cmd_circsum)
+    prints_combination(p, lambda a: circ_sum(parse_tree(a.T), parse_tree(a.S)))
 
     p = sub.add_parser("butcher", help="root graft of S onto T")
     p.add_argument("-T", required=True)
@@ -251,15 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="rewrite a tree into bracket expressions")
     p.add_argument("-T", required=True)
-    add_lambda(p)
-    add_json(p)
-    p.set_defaults(handler=_cmd_psi)
+    prints_combination(p, lambda a: psi(parse_tree(a.T)), key="expr")
 
     p = sub.add_parser("phi", help="evaluate a bracket expression into trees")
     p.add_argument("-e", dest="expr", required=True)
-    add_lambda(p)
-    add_json(p)
-    p.set_defaults(handler=_cmd_phi)
+    prints_combination(p, lambda a: phi(parse_bracket(a.expr)))
 
     p = sub.add_parser("enumerate", help="all labeled trees on n vertices")
     p.add_argument("-n", type=_positive_int, required=True)
@@ -279,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=["all", "assoc", "deform", "spec", "iso", "morph"],
+        choices=["all", *SUITES],
     )
     p.add_argument("--nmax", type=_positive_int, help="universe vertex bound")
     p.add_argument("--wmax", type=_positive_int, help="universe weight bound")

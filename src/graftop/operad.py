@@ -103,31 +103,12 @@ def _replace_at(node: WeightedTree, path: tuple, new: WeightedTree) -> WeightedT
     return _respine(_spine(node, path)[0], new)
 
 
-def _hang(node: WeightedTree, hung) -> WeightedTree:
-    """``node`` with each ``(path, branch)`` of ``hung`` attached as a new
-    child of the vertex at ``path``; only the ancestors of those vertices
-    are rebuilt, with the trusted constructor: the caller has checked that
-    the branches and ``node`` are label-disjoint (or all unlabeled).  It
-    serves only ``compose_with_map``; single grafts go through ``_graft``."""
-    if not hung:
-        return node
-    here = []
-    below: dict[int, list] = {}
-    for path, branch in hung:
-        if path:
-            below.setdefault(path[0], []).append((path[1:], branch))
-        else:
-            here.append(branch)
-    kids = list(node.children)
-    for i, items in below.items():
-        kids[i] = _hang(kids[i], items)
-    return WeightedTree._node(node.label, node.weight, tuple(kids) + tuple(here))
-
-
-def _graft(tree: WeightedTree, path: tuple, node: WeightedTree, branch) -> WeightedTree:
-    """``tree`` with ``branch`` hung as a new child of ``node``, the vertex at
-    ``path``: the graft kernel, with ``_hang``'s precondition."""
-    kids = node.children + (branch,)
+def _graft(tree: WeightedTree, path: tuple, node: WeightedTree, *branches) -> WeightedTree:
+    """``tree`` with ``branches`` hung as new children of ``node``, the vertex
+    at ``path``: the graft kernel.  Only ``node`` and its ancestors are
+    rebuilt, with the trusted constructor: the caller has checked that the
+    branches and ``tree`` are label-disjoint (or all unlabeled)."""
+    kids = node.children + branches
     return _replace_at(tree, path, WeightedTree._node(node.label, node.weight, kids))
 
 
@@ -139,7 +120,7 @@ def _placements(x: WeightedTree, hung: tuple, memo: dict) -> list:
     Memoized in ``memo`` for one call on the identities of x and the
     branches, read first, so each distinct rebuilt subtree is one object
     and a subtree that receives no branch is x's own.  Recurses once per
-    level of ``x``, like ``_hang``, and has the same precondition.
+    level of ``x``, and has ``_graft``'s precondition.
 
     A share is a bitmask over ``hung``.  The children are folded in one at
     a time: after each, ``partial`` maps the mask of the branches sent
@@ -210,14 +191,26 @@ def compose_with_map(
     other subtree, the moved branches included, is shared with S and T.
     """
     _check_compose_args(S, v, T)
-    n_edges = len(v.node.children)
-    if len(f.targets) != n_edges:
-        raise TreeError(f"graft map has {len(f.targets)} targets for {n_edges} edges")
+    branches = v.node.children
+    if len(f.targets) != len(branches):
+        raise TreeError(f"graft map has {len(f.targets)} targets for {len(branches)} edges")
     for r in f.targets:
         if r.tree != T:
             raise TreeError("graft map target does not belong to the inserted tree")
-    hung = tuple(zip([r.path for r in f.targets], v.node.children))
-    return _replace_at(S, v.path, _hang(T, hung))
+    # Each target receives all its branches in one graft.  A graft re-sorts
+    # siblings, which moves the paths below its target, so every target
+    # after the first is found again by label.
+    by_target: dict[tuple, tuple] = {}
+    for r, branch in zip(f.targets, branches):
+        by_target[r.path] = by_target.get(r.path, ()) + (branch,)
+    tree = T
+    for path, hung in by_target.items():
+        node = T.node_at(path)
+        if tree is not T:
+            x = tree.ref(node.label)
+            path, node = x.path, x.node
+        tree = _graft(tree, path, node, *hung)
+    return _replace_at(S, v.path, tree)
 
 
 def compose_lambda(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombination:

@@ -12,6 +12,7 @@ inverse through phi: phi(psi(T)) is exactly T with coefficient 1.
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass, field
 from typing import Union
@@ -19,7 +20,11 @@ from typing import Union
 from .algebra import Combination, LambdaPoly, TreeCombination, monomial
 from .errors import ParseError, TreeError
 from .operad import arrow_lambda
-from .trees import _LABEL_CHARS, UNLABELED, WeightedTree, _is_label, _Scanner
+from .trees import UNLABELED, WeightedTree, _is_label, _Scanner
+
+# A generator, ``label_weight``, is one run of label characters.  The empty
+# run is accepted too, so a match always exists.
+_WORD = re.compile(r"[0-9A-Za-z_]*")
 
 
 class _Bracket:
@@ -236,28 +241,44 @@ def psi_order_independence_check(
 
 class _BracketParser(_Scanner):
     def top(self) -> BracketExpr:
-        self.skip_ws()
-        if self.peek() == "(":
-            self.pos += 1
-            left = self.top()
+        # Each open product, the list of its factors read so far, is kept on
+        # a stack, so nesting depth is not bounded by recursion.
+        stack = []
+        while True:
             self.skip_ws()
-            right = self.top()
-            self.skip_ws()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            try:
-                return Pair(left, right)
-            except TreeError as exc:
-                raise ParseError(str(exc), self.pos) from exc
+            if self.peek() == "(":
+                self.pos += 1
+                stack.append([])
+                continue
+            expr = self.generator()
+            # Hand the expression just read to the open product; each ')'
+            # that then closes one hands that product to the next.
+            while stack:
+                factors = stack[-1]
+                factors.append(expr)
+                self.skip_ws()
+                if len(factors) == 1:
+                    break
+                if self.peek() != ")":
+                    self.error("expected ')'")
+                self.pos += 1
+                stack.pop()
+                try:
+                    expr = Pair(*factors)
+                except TreeError as exc:
+                    raise ParseError(str(exc), self.pos) from exc
+            if not stack:
+                return expr
+
+    def generator(self) -> Generator:
         start = self.pos
-        word = self.take(_LABEL_CHARS)
+        word = _WORD.match(self.text, start)[0]
         if not word:
             self.error("expected a generator or '('")
         label, _, w = word.rpartition("_")
         if not label or not w.isdigit():
-            self.pos = start
             self.error(f"bad generator {word!r}, expected label_weight")
+        self.pos = start + len(word)
         try:
             return Generator(label, int(w))
         except TreeError as exc:

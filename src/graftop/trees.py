@@ -23,11 +23,11 @@ UNLABELED = "_"
 _LABEL_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 )
-_DIGITS = frozenset("0123456789")
-# A well-formed vertex head, ``label:weight``, with the whitespace around
-# it: the label from _LABEL_CHARS and the weight from _DIGITS.  ``\s`` and
-# ``str.isspace`` agree on every character.
-_HEAD = re.compile(r"\s*([0-9A-Za-z_]+)\s*:\s*([0-9]+)\s*")
+# A vertex head, ``label:weight``, with the whitespace around it: the label
+# from _LABEL_CHARS and the weight from ASCII digits.  Every part may be
+# empty, so it always matches, and an empty part is where a malformed head
+# fails.  ``\s`` and ``str.isspace`` agree on every character.
+_HEAD = re.compile(r"\s*([0-9A-Za-z_]*)\s*(:?)\s*([0-9]*)\s*")
 
 _BY_ENCODING = attrgetter("encoding")
 _new = object.__new__
@@ -398,6 +398,7 @@ def enumerate_labeled_trees(
     if len(labels) != n or len(set(labels)) != n:
         raise ValueError("labels must be n distinct strings")
 
+    weight_of = dict(zip(labels, weights))
     out = []
     for root in range(n):
         others = [i for i in range(n) if i != root]
@@ -415,17 +416,34 @@ def enumerate_labeled_trees(
                     cur = parent[cur]
                 if not ok:
                     break
-            if not ok:
-                continue
-            kids: dict[int, list[int]] = {i: [] for i in range(n)}
-            for child, par in parent.items():
-                kids[par].append(child)
-
-            def make(i):
-                return WeightedTree(labels[i], weights[i], tuple(make(j) for j in kids[i]))
-
-            out.append(make(root))
+            if ok:
+                parents = {labels[root]: None}
+                parents.update((labels[child], labels[par]) for child, par in parent.items())
+                out.append(_tree_of_parents(parents, weight_of))
     return out
+
+
+def _tree_of_parents(parents: Mapping, weights: Mapping) -> WeightedTree:
+    """The tree in which vertex ``lab`` has parent ``parents[lab]`` (``None``
+    at the root, the first such key) and weight ``weights[lab]``, built
+    bottom-up with the validating constructor, each vertex's children in the
+    order of ``parents``.  Iterative, so depth is not limited: the stack
+    visits children last to first, so the reversed visit order is the
+    post-order, the order in which a recursive build would meet errors."""
+    root = next(lab for lab, par in parents.items() if par is None)
+    kids: dict = {lab: [] for lab in parents}
+    for lab, par in parents.items():
+        if lab != root:
+            kids[par].append(lab)
+    order, stack = [], [root]
+    while stack:
+        lab = stack.pop()
+        order.append(lab)
+        stack += kids[lab]
+    built = {}
+    for lab in reversed(order):
+        built[lab] = WeightedTree(lab, weights[lab], tuple([built[c] for c in kids[lab]]))
+    return built[root]
 
 
 def enumerate_unlabeled_trees(n: int, max_weight: int) -> list[WeightedTree]:
@@ -466,45 +484,21 @@ class _Scanner:
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self, chars) -> str:
-        """The longest run of ``chars`` at the cursor, consumed."""
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in chars:
-            self.pos += 1
-        return self.text[start:self.pos]
-
 
 class _TreeParser(_Scanner):
-    def word(self) -> str:
-        word = self.take(_LABEL_CHARS)
-        if not word:
-            self.error("expected a label")
-        return word
-
-    def number(self) -> int:
-        digits = self.take(_DIGITS)
-        if not digits:
-            self.error("expected a weight")
-        return int(digits)
-
     def head(self) -> tuple[str, int]:
         """The label and weight of the vertex at the cursor, with the
         whitespace around them consumed."""
         m = _HEAD.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return m[1], int(m[2])
-        # Malformed: read it step by step to fail at the exact position.
-        self.skip_ws()
-        label = self.word()
-        self.skip_ws()
-        if self.peek() != ":":
-            self.error("expected ':'")
-        self.pos += 1
-        self.skip_ws()
-        w = self.number()
-        self.skip_ws()
-        return label, w
+        label, colon, digits = m.groups()
+        if not label:
+            raise ParseError("expected a label", m.start(1))
+        if not colon:
+            raise ParseError("expected ':'", m.start(2))
+        if not digits:
+            raise ParseError("expected a weight", m.start(3))
+        self.pos = m.end()
+        return label, int(digits)
 
     def top(self) -> WeightedTree:
         # The open vertices above the cursor, (label, weight, children read

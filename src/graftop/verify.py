@@ -44,6 +44,7 @@ from .presentation import _evaluate, phi, psi
 from .trees import (
     UNLABELED,
     WeightedTree,
+    _tree_of_parents,
     enumerate_labeled_trees,
     enumerate_unlabeled_trees,
     relabel,
@@ -70,11 +71,7 @@ class Universe:
 
     def shapes(self, prefix: str = "a") -> tuple[WeightedTree, ...]:
         """All-1-weight labeled trees, one per labeled shape."""
-        return tuple(
-            t
-            for n in range(1, self.n_max + 1)
-            for t in enumerate_labeled_trees(n, [1] * n, [f"{prefix}{i + 1}" for i in range(n)])
-        )
+        return _labeled_universe(self.n_max, 1, prefix)
 
     def unlabeled_trees(self) -> tuple[WeightedTree, ...]:
         return _unlabeled_universe(self.n_max, self.w_max)
@@ -187,28 +184,22 @@ def _run(name: str, instances, shard: bool = True) -> CheckReport:
 
 
 def _scan(instances, shard: int = 0, shards: int = 1):
-    """Scan the chunks ``shard``, ``shard + shards``, ... of the list
-    ``instances``, or the whole stream when ``shards`` is 1.  Yields
-    ``(index, descriptions)`` for each failing instance, and stops after the
-    one that brings this scan's failure count to ``_FAILURE_SCAN_CAP``; an
-    instance that raises yields ``(index, exception)`` and ends the scan.  A
-    scan that runs out yields ``(number of instances, None)``.
+    """Scan the chunks ``shard``, ``shard + shards``, ... of ``instances``
+    and skip the others unread; with ``shards`` 1, scan the whole stream.
+    Yields ``(index, descriptions)`` for each failing instance, and stops
+    after the one that brings this scan's failure count to
+    ``_FAILURE_SCAN_CAP``; an instance that raises yields ``(index,
+    exception)`` and ends the scan.  A scan that runs out yields ``(number
+    of instances, None)``.
 
     Sharded scans stop no earlier than the serial one: a shard reaches its
     own cap at or after the instance where all shards together reach it."""
-    if shards == 1:
-        indexed = enumerate(instances)
-    else:
-        step, n = _CHUNK * shards, len(instances)
-        indexed = (
-            (i, instances[i])
-            for first in range(shard * _CHUNK, n, step)
-            for i in range(first, min(first + _CHUNK, n))
-        )
     failures = index = end = 0
     try:
-        for index, found in indexed:
+        for index, found in enumerate(instances):
             end = index + 1
+            if index // _CHUNK % shards != shard:
+                continue
             descriptions = list(found)
             if descriptions:
                 yield index, descriptions
@@ -218,7 +209,7 @@ def _scan(instances, shard: int = 0, shards: int = 1):
     except Exception as exc:
         yield index, exc
         return
-    yield (len(instances) if shards > 1 else end), None
+    yield end, None
 
 
 def _forked(instances: list, shards: int) -> list:
@@ -332,37 +323,22 @@ def _parent_map(tree: WeightedTree):
     return parents, weights
 
 
-def _tree_of_parent_map(parents, weights) -> WeightedTree:
-    kids: dict[str, list[str]] = {lab: [] for lab in parents}
-    root = None
-    for lab, par in parents.items():
-        if par is None:
-            root = lab
-        else:
-            kids[par].append(lab)
-
-    def make(lab):
-        return WeightedTree(lab, weights[lab], tuple(make(c) for c in kids[lab]))
-
-    return make(root)
-
-
 def _oracle_substitutions(S: WeightedTree, v_label: str, T: WeightedTree, root_only: bool):
     """See ``oracle_compose_terms``; ``root_only`` reattaches at T's root alone."""
     sp, sw = _parent_map(S)
     tp, tw = _parent_map(T)
     targets = [lab for lab, par in tp.items() if par is None] if root_only else sorted(tp)
     moved = sorted(lab for lab, par in sp.items() if par == v_label)
+    base = {lab: par for lab, par in sp.items() if lab != v_label}
+    weights = {lab: w for lab, w in sw.items() if lab != v_label}
+    for lab, par in tp.items():
+        base[lab] = par if par is not None else sp[v_label]
+        weights[lab] = tw[lab]
     out = []
     for assignment in itertools.product(targets, repeat=len(moved)):
-        parents = {lab: par for lab, par in sp.items() if lab != v_label}
-        weights = {lab: w for lab, w in sw.items() if lab != v_label}
-        for lab, par in tp.items():
-            parents[lab] = par if par is not None else sp[v_label]
-            weights[lab] = tw[lab]
-        for lab, target in zip(moved, assignment):
-            parents[lab] = target
-        out.append(_tree_of_parent_map(parents, weights))
+        parents = dict(base)
+        parents.update(zip(moved, assignment))
+        out.append(_tree_of_parents(parents, weights))
     return out
 
 
@@ -493,6 +469,14 @@ def _shape_slots(universe: Universe):
     return ((S, T, v) for S in universe.shapes("s") for T in t_shapes for v in S.vertices())
 
 
+def _into_terms(compose, combo: TreeCombination, label: str, X: WeightedTree) -> TreeCombination:
+    """``compose(term, term.ref(label), X)`` summed over the terms of
+    ``combo``, each with its coefficient."""
+    return TreeCombination._sum(
+        (coeff, compose(term, term.ref(label), X)) for term, coeff in combo._terms.items()
+    )
+
+
 def _per_pair(compose):
     """``outer(S, T)``: ``(v, compose(S, v, T))`` for every slot v of S that
     fits T, kept for the last (S, T) pair only.  The nested law's stream
@@ -522,10 +506,7 @@ def check_nested_associativity(universe: Universe | None = None, fault: bool = F
             for w in T.vertices():
                 if U.total_weight != w.weight:
                     continue
-                lhs = TreeCombination._sum(
-                    (coeff, compose(term, term.ref(w.label), U))
-                    for term, coeff in st._terms.items()
-                )
+                lhs = _into_terms(compose, st, w.label, U)
                 rhs = TreeCombination._sum(
                     (coeff, compose(S, v, term)) for term, coeff in compose(T, w, U)._terms.items()
                 )
@@ -566,14 +547,7 @@ def check_disjoint_associativity(universe: Universe | None = None, fault: bool =
                 su = into_u.get(w.path)
                 if su is None:
                     su = into_u[w.path] = compose(S, w, U)
-                lhs = TreeCombination._sum(
-                    (coeff, compose(term, term.ref(w.label), U))
-                    for term, coeff in st._terms.items()
-                )
-                rhs = TreeCombination._sum(
-                    (coeff, compose(term, term.ref(v.label), T)) for term, coeff in su._terms.items()
-                )
-                if lhs != rhs:
+                if _into_terms(compose, st, w.label, U) != _into_terms(compose, su, v.label, T):
                     return False
         return True
 

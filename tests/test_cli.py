@@ -246,7 +246,8 @@ def test_dims_rejects_nonpositive_wmax(capsys, value):
 
 
 def test_internal_error_exits_3_without_traceback(capsys):
-    # a bracket expression nested deeper than its parser's recursion allows
+    # a bracket expression that parses, nested deeper than phi's recursive
+    # evaluation allows
     deep = "(" * 3000 + "g0_1" + "".join(f" g{i}_1)" for i in range(1, 3001))
     code, out, err = run(capsys, "phi", "-e", deep)
     assert code == 3

@@ -312,6 +312,24 @@ def test_graft_at_deepest_vertex_of_deep_chain_does_not_recurse():
     assert (grafted.size, grafted.total_weight) == (n + 2, n + 3)
 
 
+def test_compose_with_map_at_bottom_of_deep_inserted_tree_does_not_recurse():
+    # T is a chain deeper than the default recursion limit; the map sends b
+    # to T's bottom vertex and c to T's root
+    n = 1500
+    T = WeightedTree(f"t{n}", 1)
+    for i in range(n - 1, 0, -1):
+        T = WeightedTree(f"t{i}", 1, (T,))
+    S = parse_tree(f"r:1[v:{n}[b:1,c:2]]")
+    v = S.ref("v")
+    out = compose_with_map(S, v, T, GraftMap.from_labels(S, v, T, {"b": f"t{n}", "c": "t1"}))
+    expected = WeightedTree(f"t{n}", 1, (WeightedTree("b", 1),))
+    for i in range(n - 1, 0, -1):
+        expected = WeightedTree(f"t{i}", 1, (expected, WeightedTree("c", 2)) if i == 1 else (expected,))
+    assert out == WeightedTree("r", 1, (expected,))
+    # b sinks n - 1 levels below the root map's place
+    assert out.energy - nap_compose(S, v, T).energy == n - 1
+
+
 def test_minimality_of_root_map():
     combo = compose_lambda(S_EX, S_EX.ref("b"), T_EX)
     zero_exponent_terms = [

@@ -1,6 +1,7 @@
 """Bracket expressions, the deformed relation, and the phi/psi pair."""
 
 import itertools
+import re
 
 import pytest
 
@@ -52,10 +53,51 @@ def test_repeated_labels_rejected():
         brack("(x_1 x_2)")
 
 
-@pytest.mark.parametrize("bad", ["", "(", "(x_1", "(x_1 y_1", "x", "x_", "_1", "(x_1 y_1))"])
+# each rejected bracket text and its exact message, position included
+PARSE_ERRORS = {
+    "": "expected a generator or '(' (at position 0)",
+    "(": "expected a generator or '(' (at position 1)",
+    "(x_1": "expected a generator or '(' (at position 4)",
+    " (x_1 )": "expected a generator or '(' (at position 6)",
+    "(x_1 y_1": "expected ')' (at position 8)",
+    "  ( x_1 y_1 z_1)": "expected ')' (at position 12)",
+    "x": "bad generator 'x', expected label_weight (at position 0)",
+    "x_": "bad generator 'x_', expected label_weight (at position 0)",
+    "_1": "bad generator '_1', expected label_weight (at position 0)",
+    "(x_1 y_1))": "unexpected trailing input (at position 9)",
+    "(x_0 y_1)": "generator weight must be a positive integer, got 0 (at position 4)",
+    "(__1 y_1)": "invalid generator label '_' (at position 4)",
+    "(x_1 x_2)": "repeated generator labels ['x'] in one expression (at position 9)",
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_ERRORS))
 def test_parse_errors(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         brack(bad)
+    assert str(err.value) == PARSE_ERRORS[bad]
+
+
+def _deep_bracket(n, left):
+    """A product of n + 1 generators g0_1 .. gn_1, nested n deep on one side."""
+    if left:
+        return "(" * n + "g0_1" + "".join(f" g{i}_1)" for i in range(1, n + 1))
+    return "".join(f"(g{i}_1 " for i in range(n)) + f"g{n}_1" + ")" * n
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_parse_deep_bracket_does_not_recurse(left):
+    # deeper than the default recursion limit
+    n = 3000
+    text = _deep_bracket(n, left)
+    expr = parse_bracket(text)
+    assert expr.encoding == text and len(expr.labels) == n + 1
+    # Every product keeps its encoding and label set, hundreds of MB here:
+    # free them, and bind no exception info, whose traceback would keep the
+    # failed parse's products alive in a cycle through this frame.
+    del expr
+    with pytest.raises(ParseError, match=re.escape(f"expected ')' (at position {len(text) - 1})")):
+        parse_bracket(text[:-1])
 
 
 def test_bracket_mul_is_bilinear():

@@ -368,6 +368,13 @@ def test_parse_print_roundtrip_unlabeled(t):
         # non-ASCII digits are not weights
         ("a:\u00b2", 2),
         ("a:1[b:\u0663]", 6),
+        # a missing head part fails where it should start, after any whitespace
+        (" a :", 4),
+        ("a : ", 4),
+        ("  ", 2),
+        ("a:1[ b : x]", 9),
+        (" a b:1", 3),
+        ("a:1[b:1, ]", 9),
     ],
 )
 def test_parse_errors_carry_positions(bad, pos):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from graftop import parse_tree, verify
+from graftop import WeightedTree, compose_lambda, nap_compose, parse_tree, verify
 from graftop.verify import (
     CheckReport,
     Universe,
@@ -49,6 +49,19 @@ def test_oracle_composer_agrees_on_reference_instance():
     assert len(terms) == 4
     assert oracle_compose_root(S, "b", T) == parse_tree("a:1[e:2[c:2,d:1,h:1]]")
     assert parse_tree("a:1[e:2[h:1[c:2,d:1]]]") in terms
+
+
+def test_oracle_composer_on_deep_host_does_not_recurse():
+    # the host is a chain deeper than the default recursion limit, its slot
+    # at the bottom
+    n = 1500
+    S = WeightedTree(f"s{n - 1}", 2, (WeightedTree(f"s{n}", 1),))
+    for i in range(n - 2, 0, -1):
+        S = WeightedTree(f"s{i}", 1, (S,))
+    T = parse_tree("x:1[y:1]")
+    combo = compose_lambda(S, S.ref(f"s{n - 1}"), T)
+    assert sorted(oracle_compose_terms(S, f"s{n - 1}", T), key=str) == sorted(combo.support(), key=str)
+    assert oracle_compose_root(S, f"s{n - 1}", T) == nap_compose(S, S.ref(f"s{n - 1}"), T)
 
 
 def test_shape_conversions_roundtrip():
