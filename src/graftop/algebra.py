@@ -278,7 +278,8 @@ class Combination:
     """Finite formal sum of hashable terms with LambdaPoly coefficients.
 
     Zero coefficients are pruned eagerly; instances are immutable.
-    Subclasses pin down the admissible term type and the print order.
+    Subclasses pin down the admissible term type; every term carries an
+    ``encoding``, which orders and prints it.
     """
 
     __slots__ = ("_terms",)
@@ -314,14 +315,6 @@ class Combination:
                 accumulate(acc, term, coeff * c)
         return cls._raw(acc)
 
-    @staticmethod
-    def _sort_key(term):
-        return str(term)
-
-    @staticmethod
-    def _format_term(term) -> str:
-        return str(term)
-
     @classmethod
     def zero(cls):
         return cls()
@@ -331,7 +324,7 @@ class Combination:
         return cls(((term, coeff),))
 
     def terms(self) -> list[tuple]:
-        return sorted(self._terms.items(), key=lambda kv: self._sort_key(kv[0]))
+        return sorted(self._terms.items(), key=lambda kv: kv[0].encoding)
 
     def coefficient(self, term) -> LambdaPoly:
         return self._terms.get(term, LambdaPoly.zero())
@@ -373,15 +366,12 @@ class Combination:
         # exact coefficients have no zero divisors: only a zero factor prunes
         return self._raw({t: poly * c for t, c in self._terms.items()} if poly else {})
 
-    def __rmul__(self, coeff):
-        if isinstance(coeff, (int, Fraction, LambdaPoly)):
-            return self.scale(coeff)
-        return NotImplemented
-
     def __mul__(self, coeff):
         if isinstance(coeff, (int, Fraction, LambdaPoly)):
             return self.scale(coeff)
         return NotImplemented
+
+    __rmul__ = __mul__
 
     def specialize(self, value) -> "Combination":
         """Evaluate every coefficient at a rational parameter value."""
@@ -404,7 +394,7 @@ class Combination:
             ps = shown.get(id(poly))
             if ps is None:
                 ps = shown[id(poly)] = f"({poly})" if len(poly) > 1 else str(poly)
-            parts.append(f"{ps} * {self._format_term(term)}")
+            parts.append(f"{ps} * {term.encoding}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -424,14 +414,6 @@ class TreeCombination(Combination):
             modes.add(term.is_labeled)
         if len(modes) > 1:
             raise TreeError("cannot mix labeled and unlabeled trees in one combination")
-
-    @staticmethod
-    def _sort_key(term):
-        return term.encoding
-
-    @staticmethod
-    def _format_term(term) -> str:
-        return term.encoding
 
 
 def combo_add(a: Combination, b: Combination) -> Combination:

@@ -391,7 +391,7 @@ def nap_compose(S: WeightedTree, v: VertexRef, T: WeightedTree) -> WeightedTree:
         raise TreeError(
             f"weight mismatch: inserted tree weighs {T.total_weight}, slot weighs {v.weight}"
         )
-    return compose_with_map(S, v, T, GraftMap.root_map(S, v, T))
+    return nap_compose_classical(S, v, T)
 
 
 def pre_lie_compose(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombination:
@@ -406,13 +406,13 @@ def nap_compose_classical(S: WeightedTree, v: VertexRef, T: WeightedTree) -> Wei
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
+    """The ordered ways to write ``total`` as ``parts`` positive integers,
+    in lexicographic order: one per choice of ``parts - 1`` cut points."""
+    if total < parts:
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        bounds = (0,) + cuts + (total,)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def _weightings(tree: WeightedTree, max_total: int) -> Iterator[dict]:

@@ -13,7 +13,6 @@ inverse through phi: phi(psi(T)) is exactly T with coefficient 1.
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -91,14 +90,6 @@ class BracketCombination(Combination):
             if not isinstance(term, (Generator, Pair)):
                 raise TreeError(f"bracket combination term must be a bracket expression, got {term!r}")
 
-    @staticmethod
-    def _sort_key(term):
-        return term.encoding
-
-    @staticmethod
-    def _format_term(term) -> str:
-        return term.encoding
-
 
 def bracket_mul(a: BracketCombination, b: BracketCombination) -> BracketCombination:
     """Bilinear extension of the binary product to combinations."""
@@ -138,22 +129,17 @@ def relation_r(k: int, l: int, m: int, labels=("x", "y", "z")) -> BracketCombina
     )
 
 
-_tls = threading.local()
-
-
-def _cache(name: str) -> dict:
-    cache = getattr(_tls, name, None)
-    if cache is None:
-        cache = {}
-        setattr(_tls, name, cache)
-    return cache
+# psi on trees and phi on product nodes, for the life of the process;
+# threads share them, and a race only stores an equal value twice.
+_PSI_MEMO: dict = {}
+_PHI_MEMO: dict = {}
 
 
 def phi(x) -> TreeCombination:
     """Evaluate bracket expressions into tree combinations: a generator
     becomes its one-vertex tree, a product becomes the deformed graft of
     the right factor onto the left.  Linear in combinations."""
-    return _evaluate(x, arrow_lambda, _cache("phi"))
+    return _evaluate(x, arrow_lambda, _PHI_MEMO)
 
 
 def _evaluate(x, arrow, memo: dict) -> TreeCombination:
@@ -191,9 +177,8 @@ def psi(x, branch_order: tuple[int, ...] | None = None) -> BracketCombination:
     if not x.is_labeled:
         raise TreeError("bracket rewriting needs labeled trees")
 
-    cache = _cache("psi")
     if branch_order is None:
-        hit = cache.get(x)
+        hit = _PSI_MEMO.get(x)
         if hit is not None:
             return hit
 
@@ -203,31 +188,26 @@ def psi(x, branch_order: tuple[int, ...] | None = None) -> BracketCombination:
             raise TreeError(f"branch_order must permute 0..{len(branches) - 1}")
         branches = tuple(branches[i] for i in branch_order)
 
-    p = len(branches)
-    if p == 0:
+    if not branches:
         result = BracketCombination.of(root)
-    elif p == 1:
-        result = bracket_mul(BracketCombination.of(root), psi(branches[0]))
     else:
         first_branch, rest = branches[0], branches[1:]
         head = corolla_assemble(root, rest)
         # Recursion descends: head and first_branch lose vertices, the
         # correction trees keep the size but lose one root branch.
-        assert head.size < x.size and first_branch.size < x.size
         minus_lam = -monomial(first_branch.total_weight)
 
         def corrections():
             for j in range(len(rest)):
                 for grafted, coeff in arrow_lambda(rest[j], first_branch)._terms.items():
                     merged = corolla_assemble(root, rest[:j] + (grafted,) + rest[j + 1:])
-                    assert len(merged.children) == p - 1
                     yield minus_lam * coeff, psi(merged)
 
         head_product = bracket_mul(psi(head), psi(first_branch))
         result = BracketCombination._sum(corrections(), dict(head_product._terms))
 
     if branch_order is None:
-        cache[x] = result
+        _PSI_MEMO[x] = result
     return result
 
 

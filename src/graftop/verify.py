@@ -62,11 +62,8 @@ class Universe:
 
     n_max: int
     w_max: int
-    labeled: bool = True
 
     def trees(self, prefix: str = "a") -> tuple[WeightedTree, ...]:
-        if not self.labeled:
-            return self.unlabeled_trees()
         return _labeled_universe(self.n_max, self.w_max, prefix)
 
     def shapes(self, prefix: str = "a") -> tuple[WeightedTree, ...]:

@@ -1,5 +1,6 @@
 """Graded composition, grafting products, units, and morphism truncations."""
 
+import itertools
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from graftop import (
     specialize,
     unit,
 )
+from graftop.operad import _compositions
 from graftop.verify import Universe, oracle_compose_root, oracle_compose_terms
 
 S_EX = parse_tree("a:1[b:3[c:2,d:1]]")
@@ -615,6 +617,16 @@ def test_positional_requires_integer_ranges():
 
 
 # --- morphism truncations ----------------------------------------------------------------
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+def test_compositions_are_the_ordered_sums_in_lexicographic_order(parts):
+    # the weight vectors of the morphism checks; none when total < parts
+    for total in range(9):
+        want = [
+            c for c in itertools.product(range(1, total + 1), repeat=parts) if sum(c) == total
+        ]
+        assert list(_compositions(total, parts)) == want
+
 
 def test_morphism_single_vertex_trivial():
     S = parse_tree("s:1")

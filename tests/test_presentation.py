@@ -2,6 +2,8 @@
 
 import itertools
 import re
+import sys
+import threading
 
 import pytest
 
@@ -24,6 +26,8 @@ from graftop import (
     relation_r,
     reweight,
 )
+from graftop import presentation
+from graftop.verify import Universe
 
 
 def mono(exp, coeff=1):
@@ -284,3 +288,42 @@ def test_psi_coefficient_degree_stays_bounded():
     assert len(out) > 1
     assert max(c.degree for _, c in out.terms()) <= t.energy
     assert phi(out) == TreeCombination.of(t)
+
+
+def test_psi_phi_memos_shared_by_threads_give_the_serial_results(monkeypatch):
+    # The psi and phi memos are module-level dicts that every thread reads
+    # and fills; four threads starting from empty memos must agree with a
+    # serial run that starts from empty memos too.
+    trees = Universe(4, 1).trees("x")
+
+    def roundtrip(order):
+        return {t: (str(psi(t)), phi(psi(t))) for t in order}
+
+    monkeypatch.setattr(presentation, "_PSI_MEMO", {})
+    monkeypatch.setattr(presentation, "_PHI_MEMO", {})
+    serial = roundtrip(trees)
+    assert all(back == TreeCombination.of(t) for t, (_, back) in serial.items())
+
+    monkeypatch.setattr(presentation, "_PSI_MEMO", {})
+    monkeypatch.setattr(presentation, "_PHI_MEMO", {})
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(i):
+        barrier.wait(timeout=60)
+        # each thread walks the universe from its own starting point
+        start = i * len(trees) // 4
+        results[i] = roundtrip(trees[start:] + trees[:start])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial] * 4
