@@ -427,14 +427,13 @@ def _weightings_exact(tree: WeightedTree, total: int) -> Iterator[dict]:
 
 
 def _morphism_check(
-    S: WeightedTree, T: WeightedTree, v: VertexRef, weight_bound: int, value: int, offset: int = 0
+    S: WeightedTree, T: WeightedTree, v: VertexRef, weight_bound: int, value: int, compose
 ) -> bool:
     """Truncated morphism equality from a classical composition, all-maps
     for ``value`` 1 and root-only for 0, into the graded composition
-    specialized at ``value``.  Both sides are expanded over every weight
-    assignment with total at most weight_bound and compared exactly.  A
-    nonzero ``offset`` is a deliberate fault for the verification harness:
-    the inserted tree then weighs the slot's weight plus ``offset``."""
+    ``compose`` specialized at ``value``.  Both sides are expanded over
+    every weight assignment with total at most weight_bound and compared
+    exactly."""
     _owned(S, v)
     if S.labels & T.labels:
         raise TreeError("morphism check requires label-disjoint trees")
@@ -447,10 +446,10 @@ def _morphism_check(
         for assignment in _weightings(u, weight_bound):
             accumulate(lhs, reweight(u, assignment), c)
     rhs = TreeCombination._sum(
-        (monomial(0), compose_lambda(Sa, Sa.ref(v.label), reweight(T, beta)).specialize(value))
+        (monomial(0), compose(Sa, Sa.ref(v.label), reweight(T, beta)).specialize(value))
         for alpha in _weightings(S, weight_bound)
         for Sa in (reweight(S, alpha),)
-        for beta in _weightings_exact(T, alpha[v.label] + offset)
+        for beta in _weightings_exact(T, alpha[v.label])
     )
     return lhs == rhs._terms
 
@@ -458,10 +457,10 @@ def _morphism_check(
 def morphism_i_check(S: WeightedTree, T: WeightedTree, v: VertexRef, weight_bound: int) -> bool:
     """Truncated morphism equality from the classical all-maps composition
     into the parameter-1 graded composition (see ``_morphism_check``)."""
-    return _morphism_check(S, T, v, weight_bound, 1)
+    return _morphism_check(S, T, v, weight_bound, 1, compose_lambda)
 
 
 def morphism_j_check(S: WeightedTree, T: WeightedTree, v: VertexRef, weight_bound: int) -> bool:
     """Truncated morphism equality from the classical root-only composition
     into the parameter-0 graded composition (see ``_morphism_check``)."""
-    return _morphism_check(S, T, v, weight_bound, 0)
+    return _morphism_check(S, T, v, weight_bound, 0, compose_lambda)

@@ -384,8 +384,8 @@ def enumerate_labeled_trees(
 ) -> list[WeightedTree]:
     """All labeled rooted trees on n vertices, vertex i carrying weights[i].
 
-    Enumerates (root, parent map) pairs and keeps those whose parent walk
-    reaches the root from every vertex; there are n**(n-1) of them.
+    Keeps the (root, parent map) pairs whose walk up from every vertex
+    reaches the root within n steps; there are n**(n-1) of them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -403,22 +403,16 @@ def enumerate_labeled_trees(
     for root in range(n):
         others = [i for i in range(n) if i != root]
         for choice in itertools.product(range(n), repeat=n - 1):
-            parent = dict(zip(others, choice))
-            ok = True
+            parent = [*choice[:root], root, *choice[root:]]  # the root its own parent
             for start in others:
-                seen = set()
                 cur = start
-                while cur != root:
-                    if cur in seen:
-                        ok = False
-                        break
-                    seen.add(cur)
+                for _ in range(n):
                     cur = parent[cur]
-                if not ok:
+                if cur != root:
                     break
-            if ok:
+            else:
                 parents = {labels[root]: None}
-                parents.update((labels[child], labels[par]) for child, par in parent.items())
+                parents.update((labels[c], labels[p]) for c, p in enumerate(parent) if c != root)
                 out.append(_tree_of_parents(parents, weight_of))
     return out
 

@@ -17,6 +17,7 @@ import os
 import random
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,11 +33,8 @@ from .operad import (
     arrow_lambda,
     compose_lambda,
     compose_unit_left,
-    compose_unit_right,
     compose_with_map,
     iter_graft_maps,
-    morphism_i_check,
-    morphism_j_check,
     nap_compose,
     unit,
 )
@@ -361,35 +359,22 @@ def shape_tree(shape: Shape) -> WeightedTree:
     return WeightedTree(UNLABELED, shape[0], tuple(shape_tree(c) for c in shape[1]))
 
 
-def oracle_graft_counts(t: Shape, s: Shape) -> dict[Shape, int]:
+def oracle_graft_counts(t: Shape, s: Shape) -> Counter:
     """Graft s below every vertex of t, counted with multiplicity, on bare
     nested shape tuples."""
-    counts: dict[Shape, int] = {}
-    rooted = (t[0], tuple(sorted(t[1] + (s,))))
-    counts[rooted] = counts.get(rooted, 0) + 1
+    counts = Counter([(t[0], tuple(sorted(t[1] + (s,))))])
     for i, child in enumerate(t[1]):
         for grafted, n in oracle_graft_counts(child, s).items():
             kids = t[1][:i] + (grafted,) + t[1][i + 1:]
-            result = (t[0], tuple(sorted(kids)))
-            counts[result] = counts.get(result, 0) + n
+            counts[(t[0], tuple(sorted(kids)))] += n
     return counts
 
 
-def _count_add(out: dict, counts: dict, factor: int) -> dict:
-    """Add ``factor`` times ``counts`` into ``out`` in place; returns ``out``."""
-    for k, v in counts.items():
-        out[k] = out.get(k, 0) + factor * v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def oracle_graft_product(x: dict, y: dict) -> dict:
+def oracle_graft_product(x: dict, y: dict) -> Counter:
     """Extend the shape graft bilinearly to integer combinations of shapes."""
-    out: dict[Shape, int] = {}
-    for a, m in x.items():
-        for b, n in y.items():
-            _count_add(out, oracle_graft_counts(a, b), m * n)
+    out: Counter = Counter()
+    for (a, m), (b, n) in itertools.product(x.items(), y.items()):
+        out.update({shape: m * n * k for shape, k in oracle_graft_counts(a, b).items()})
     return out
 
 
@@ -422,22 +407,21 @@ def shrink_instance(trees: tuple, still_fails) -> tuple:
     """Greedy minimization: drop leaves and decrement weights while the
     failure persists."""
     current = tuple(trees)
-    progressing = True
-    while progressing:
-        progressing = False
-        for i, t in enumerate(current):
-            for candidate_tree in _reductions(t):
-                candidate = current[:i] + (candidate_tree,) + current[i + 1:]
-                try:
-                    if still_fails(candidate):
-                        current = candidate
-                        progressing = True
-                        break
-                except TreeError:
-                    continue
-            if progressing:
-                break
-    return current
+    while True:
+        candidates = (
+            current[:i] + (smaller,) + current[i + 1:]
+            for i, t in enumerate(current)
+            for smaller in _reductions(t)
+        )
+        for candidate in candidates:
+            try:
+                if still_fails(candidate):
+                    current = candidate
+                    break
+            except TreeError:
+                continue
+        else:
+            return current
 
 
 # ---------------------------------------------------------------------------
@@ -566,25 +550,16 @@ def check_disjoint_associativity(universe: Universe | None = None, fault: bool =
 def check_unit_laws(universe: Universe | None = None, fault: bool = False) -> CheckReport:
     """One-vertex trees of matching weight act as left and right identity."""
     universe = universe or DEFAULT_TRIPLE_UNIVERSE
-    if fault:
-        compose = _faulty_compose(1, lambda S: 1)
-
-        def left_unit(n, T):
-            u = unit(n, _fresh_label(T.labels))
-            return compose(u, u.ref(u.label), T)
-
-        def right_unit(T, v):
-            return compose(T, v, unit(v.weight, v.label))
-    else:
-        left_unit, right_unit = compose_unit_left, compose_unit_right
+    compose = _faulty_compose(1, lambda S: 1) if fault else compose_lambda
 
     def failures(T):
-        if left_unit(T.total_weight, T) != TreeCombination.of(T):
+        u = unit(T.total_weight, _fresh_label(T.labels))
+        if compose(u, u.ref(u.label), T) != TreeCombination.of(T):
             yield f"left unit on T={T.encoding}"
         if compose_unit_left(T.total_weight + 1, T):
             yield f"weight-mismatched left unit not zero on T={T.encoding}"
         for v in T.vertices():
-            if right_unit(T, v) != TreeCombination.of(T):
+            if compose(T, v, unit(v.weight, v.label)) != TreeCombination.of(T):
                 yield f"right unit on T={T.encoding} at v={v.label}"
 
     return _run("unit-laws", map(failures, universe.trees("a")), shard=not fault)
@@ -669,8 +644,10 @@ def check_deformed_identity(universe: Universe | None = None, fault: bool = Fals
         us = oracle_graft_counts(u, s)
         ts_ = oracle_graft_counts(t, s)
         st = oracle_graft_counts(s, t)
-        lhs = _count_add(oracle_graft_product(ut, {s: 1}), oracle_graft_product({u: 1}, ts_), -1)
-        rhs = _count_add(oracle_graft_product(us, {t: 1}), oracle_graft_product({u: 1}, st), -1)
+        lhs = oracle_graft_product(ut, {s: 1})
+        lhs.subtract(oracle_graft_product({u: 1}, ts_))
+        rhs = oracle_graft_product(us, {t: 1})
+        rhs.subtract(oracle_graft_product({u: 1}, st))
         if lhs != rhs:
             yield f"oracle identity U={U.encoding} T={T.encoding} S={S.encoding}"
         lib = arrow_lambda(U, T).specialize(Fraction(1))
@@ -761,17 +738,12 @@ def check_morphisms_i_j(
     """Truncated morphism equalities for the classical-to-graded embeddings,
     checked both for the all-maps and the root-only composition."""
     universe = universe or Universe(3, 1)
+    compose = _faulty_compose(1, lambda S: 1) if fault else compose_lambda
 
     def failures(S, T, v):
-        if fault:
-            # off-by-one in the weight split between host slot and
-            # inserted tree
-            if not _morphism_check(S, T, v, weight_bound, 1, offset=1):
-                yield f"S={S.encoding} v={v.label} T={T.encoding}"
-            return
-        if not morphism_i_check(S, T, v, weight_bound):
+        if not _morphism_check(S, T, v, weight_bound, 1, compose):
             yield f"all-maps morphism S={S.encoding} v={v.label} T={T.encoding}"
-        if not morphism_j_check(S, T, v, weight_bound):
+        if not _morphism_check(S, T, v, weight_bound, 0, compose):
             yield f"root-only morphism S={S.encoding} v={v.label} T={T.encoding}"
 
     instances = itertools.starmap(failures, _shape_slots(universe))

@@ -353,6 +353,14 @@ def test_left_unit_examples():
     assert compose_unit_left(2, T_EX) == TreeCombination.zero()
 
 
+def test_unit_wrappers_on_unlabeled_trees():
+    T = parse_tree("_:1[_:2]")
+    assert compose_unit_left(3, T) == TreeCombination.of(T)
+    assert compose_unit_left(2, T) == TreeCombination.zero()
+    for v in T.vertices():
+        assert compose_unit_right(T, v) == TreeCombination.of(T)
+
+
 def test_right_unit_exhaustive_small():
     for n in range(1, 5):
         from graftop import enumerate_labeled_trees
@@ -777,3 +785,37 @@ def test_classical_derivation_relation(sub, graft):
                     _lift(sub(T, U), graft, S), _lift(sub(S, U), graft, T, flip=True)
                 )
                 assert lhs == rhs, (T.encoding, S.encoding, U.encoding)
+
+
+# --- rejections -------------------------------------------------------------------
+
+LEAF = parse_tree("_:1")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: compose_lambda(LEAF, LEAF.vertices()[0], LEAF),
+            "composition requires labeled trees",
+        ),
+        (
+            lambda: compose_with_map(
+                S_EX, S_EX.ref("b"), T_EX, GraftMap((parse_tree("z:2").ref("z"),) * 2)
+            ),
+            "graft map target does not belong to the inserted tree",
+        ),
+        (
+            lambda: graft_at(S_EX, S_EX.ref("b"), LEAF),
+            "cannot graft across labeled and unlabeled trees",
+        ),
+        (
+            lambda: morphism_i_check(S_EX, parse_tree("a:1"), S_EX.ref("b"), 5),
+            "morphism check requires label-disjoint trees",
+        ),
+    ],
+)
+def test_rejection_messages(call, message):
+    with pytest.raises(TreeError) as caught:
+        call()
+    assert str(caught.value) == message

@@ -139,6 +139,13 @@ def test_relation_requires_distinct_labels():
         relation_r(1, 1, 1, labels=("x", "x", "z"))
 
 
+def test_psi_rejects_a_branch_order_on_a_combination():
+    combo = TreeCombination.of(parse_tree("x:1[y:1,z:1]"))
+    with pytest.raises(TreeError) as caught:
+        psi(combo, (1, 0))
+    assert str(caught.value) == "branch_order applies to a single tree"
+
+
 def test_phi_annihilates_relation_small_weights():
     for k, l, m in itertools.product((1, 2), repeat=3):
         assert phi(relation_r(k, l, m)) == TreeCombination.zero()

@@ -160,14 +160,14 @@ def test_an_operation_raising_in_a_child_surfaces_in_the_parent(monkeypatch):
     # T=a2:1[a1:1[a3:1]] is instance 6 of the unit-laws stream; with chunks
     # of 2 it falls in chunk 3, which the second of two children scans.
     monkeypatch.setattr(verify, "_CHUNK", 2)
-    right = verify.compose_unit_right
+    compose = verify.compose_lambda
 
-    def raising(T, v):
-        if T.encoding == "a2:1[a1:1[a3:1]]":
+    def raising(S, v, T):
+        if S.encoding == "a2:1[a1:1[a3:1]]":
             raise TreeError(f"no unit at {v.label}")
-        return right(T, v)
+        return compose(S, v, T)
 
-    monkeypatch.setattr(verify, "compose_unit_right", raising)
+    monkeypatch.setattr(verify, "compose_lambda", raising)
     assert Universe(3, 1).trees("a")[6].encoding == "a2:1[a1:1[a3:1]]"
     with_cpus(monkeypatch, 1)
     with pytest.raises(TreeError) as serial:

@@ -210,6 +210,19 @@ def test_non_string_labels_rejected():
         Generator(5, 1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: relabel(parse_tree("_:1"), {}), "cannot relabel an unlabeled tree"),
+        (lambda: reweight(parse_tree("_:1"), {}), "cannot reweight an unlabeled tree by label"),
+    ],
+)
+def test_unlabeled_rejection_messages(call, message):
+    with pytest.raises(TreeError) as caught:
+        call()
+    assert str(caught.value) == message
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(TreeError):
         WeightedTree("a", 1, (WeightedTree("a", 2),))

@@ -132,6 +132,7 @@ PRODUCTION_FAULTS = [
     (check_specializations, SMALL, "compose_lambda"),
     (check_deformed_identity, SMALL, "arrow_lambda"),
     (check_roundtrip_psi_phi, Universe(3, 2), "arrow_lambda"),
+    (check_morphisms_i_j, Universe(2, 1), "compose_lambda"),
 ]
 
 
@@ -193,7 +194,9 @@ FAULT_REPORTS = [
         "roundtrip T=x1:1[x2:1,x3:1]", "roundtrip T=x2:1[x1:1,x3:1]", "roundtrip T=x3:1[x1:1,x2:1]",
     )),
     (check_morphisms_i_j, Universe(2, 1), {"weight_bound": 4}, 15, 15, (
-        "S=s1:1 v=s1 T=t1:1", "S=s1:1 v=s1 T=t1:1[t2:1]", "S=s1:1 v=s1 T=t2:1[t1:1]",
+        "root-only morphism S=s1:1 v=s1 T=t1:1",
+        "root-only morphism S=s1:1 v=s1 T=t1:1[t2:1]",
+        "root-only morphism S=s1:1 v=s1 T=t2:1[t1:1]",
     )),
 ]
 
