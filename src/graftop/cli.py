@@ -4,9 +4,9 @@ suites.
 
 Exit codes: 0 success (including weight-mismatch compositions, which print
 ``0``), 1 verification failure, 2 parse or usage error, 3 unexpected
-internal error (for example a bracket expression nested too deeply to
-parse).  A reader that closes stdout early is no error: the run ends
-quietly, with the code it has when it stops printing.
+internal error (for example ``phi`` of a bracket expression nested too
+deeply to evaluate).  A reader that closes stdout early is no error: the
+run ends quietly, with the code it has when it stops printing.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ def _slot(args):
 def _cmd_combination(args) -> int:
     """Print the combination ``args.compute(args)``, specialized at
     ``--lambda``, each term's text under ``args.key`` in the JSON form."""
+    lam = _parse_lambda(args.lam)
     combo = args.compute(args)
-    if args.lam is not None:
-        combo = combo.specialize(args.lam)
+    if lam is not None:
+        combo = combo.specialize(lam)
     if args.json:
         terms = [
             {
@@ -256,12 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "lam") and isinstance(args.lam, str):
-        try:
-            args.lam = _parse_lambda(args.lam)
-        except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         status = args.handler(args)
         sys.stdout.flush()

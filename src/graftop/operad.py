@@ -253,16 +253,19 @@ def _as_combination(x) -> TreeCombination:
     raise TypeError(f"expected a tree or tree combination, got {type(x).__name__}")
 
 
+def _pairs(x, y):
+    """``(cx * cy, s, t)`` for every term s of x and t of y, each a tree or
+    a tree combination: the one loop of every bilinear extension."""
+    ys = _as_combination(y)._terms.items()
+    for s, cx in _as_combination(x)._terms.items():
+        for t, cy in ys:
+            yield cx * cy, s, t
+
+
 def compose_at_label(x, label: str, y) -> TreeCombination:
     """Bilinear extension of compose_lambda, slot selected by label in every
     term of x."""
-    ys = _as_combination(y)._terms
-    return TreeCombination._sum(
-        (cs * ct, compose_lambda(s, v, t))
-        for s, cs in _as_combination(x)._terms.items()
-        for v in (s.ref(label),)
-        for t, ct in ys.items()
-    )
+    return TreeCombination._sum((c, compose_lambda(s, s.ref(label), t)) for c, s, t in _pairs(x, y))
 
 
 def _fresh_label(taken, base="u"):
@@ -353,14 +356,11 @@ def arrow_lambda(x, y) -> TreeCombination:
     Extends bilinearly when either argument is a combination.
     """
     acc: dict = {}
-    ys = _as_combination(y)._terms
-    for t, ct in _as_combination(x)._terms.items():
-        for s, cs in ys.items():
-            _check_graft_args(t, s)
-            coeff = ct * cs
-            w = s.total_weight
-            for path, node in t.walk():
-                accumulate(acc, _graft(t, path, node, s), coeff * monomial(w * len(path)))
+    for coeff, t, s in _pairs(x, y):
+        _check_graft_args(t, s)
+        w = s.total_weight
+        for path, node in t.walk():
+            accumulate(acc, _graft(t, path, node, s), coeff * monomial(w * len(path)))
     return TreeCombination._raw(acc)
 
 
@@ -375,12 +375,8 @@ def butcher_product(T: WeightedTree, S: WeightedTree) -> WeightedTree:
 def circ_sum(T, S) -> TreeCombination:
     """Sum of the graded compositions of S into every vertex of T; only
     vertices whose weight equals S's total weight contribute."""
-    ss = _as_combination(S)._terms
     return TreeCombination._sum(
-        (ct * cs, compose_lambda(t, v, s))
-        for t, ct in _as_combination(T)._terms.items()
-        for s, cs in ss.items()
-        for v in t.vertices()
+        (c, compose_lambda(t, v, s)) for c, t, s in _pairs(T, S) for v in t.vertices()
     )
 
 

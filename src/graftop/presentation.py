@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .algebra import Combination, LambdaPoly, TreeCombination, monomial
-from .errors import ParseError, TreeError
+from .errors import TreeError
 from .operad import arrow_lambda
 from .trees import UNLABELED, WeightedTree, _is_label, _Scanner
 
@@ -243,10 +243,7 @@ class _BracketParser(_Scanner):
                     self.error("expected ')'")
                 self.pos += 1
                 stack.pop()
-                try:
-                    expr = Pair(*factors)
-                except TreeError as exc:
-                    raise ParseError(str(exc), self.pos) from exc
+                expr = self.make(Pair, *factors)
             if not stack:
                 return expr
 
@@ -259,10 +256,7 @@ class _BracketParser(_Scanner):
         if not label or not w.isdigit():
             self.error(f"bad generator {word!r}, expected label_weight")
         self.pos = start + len(word)
-        try:
-            return Generator(label, int(w))
-        except TreeError as exc:
-            raise ParseError(str(exc), self.pos) from exc
+        return self.make(Generator, label, int(w))
 
 
 def parse_bracket(text: str) -> BracketExpr:

@@ -471,6 +471,13 @@ class _Scanner:
     def error(self, message: str):
         raise ParseError(message, self.pos)
 
+    def make(self, cls, *args):
+        """``cls(*args)``, a ``TreeError`` raised as a ``ParseError`` at the cursor."""
+        try:
+            return cls(*args)
+        except TreeError as exc:
+            raise ParseError(str(exc), self.pos) from exc
+
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
@@ -509,10 +516,7 @@ class _TreeParser(_Scanner):
             # Build the vertex just read, then each open vertex whose ']'
             # follows, until a ',' starts a sibling.
             while True:
-                try:
-                    tree = WeightedTree(label, w, kids)
-                except TreeError as exc:
-                    raise ParseError(str(exc), self.pos) from exc
+                tree = self.make(WeightedTree, label, w, kids)
                 if not stack:
                     return tree
                 label, w, children = stack[-1]

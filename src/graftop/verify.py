@@ -26,13 +26,12 @@ from .algebra import LambdaPoly, TreeCombination, monomial
 from .errors import TreeError
 from .operad import (
     GraftMap,
-    _as_combination,
     _fresh_label,
     _morphism_check,
+    _pairs,
     _replace_at,
     arrow_lambda,
     compose_lambda,
-    compose_unit_left,
     compose_with_map,
     iter_graft_maps,
     nap_compose,
@@ -294,12 +293,7 @@ def _faulty_compose(root: int, rest):
 def _faulty_arrow(x, y) -> TreeCombination:
     """arrow_lambda, applied to each pair of terms, with every graft below
     the root raised by one power of L."""
-    ys = _as_combination(y)._terms
-    return TreeCombination._sum(
-        (ct * cs, _raised(arrow_lambda(t, s), 0, 1))
-        for t, ct in _as_combination(x)._terms.items()
-        for s, cs in ys.items()
-    )
+    return TreeCombination._sum((c, _raised(arrow_lambda(t, s), 0, 1)) for c, t, s in _pairs(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +550,8 @@ def check_unit_laws(universe: Universe | None = None, fault: bool = False) -> Ch
         u = unit(T.total_weight, _fresh_label(T.labels))
         if compose(u, u.ref(u.label), T) != TreeCombination.of(T):
             yield f"left unit on T={T.encoding}"
-        if compose_unit_left(T.total_weight + 1, T):
+        heavy = unit(T.total_weight + 1, u.label)
+        if compose(heavy, heavy.ref(u.label), T):
             yield f"weight-mismatched left unit not zero on T={T.encoding}"
         for v in T.vertices():
             if compose(T, v, unit(v.weight, v.label)) != TreeCombination.of(T):
@@ -772,20 +767,15 @@ def run_suite(
     fault: bool = False,
 ) -> list[CheckReport]:
     """Run one named suite (or ``all``) and return its reports."""
-    if name == "all":
-        names = list(SUITES)
-    elif name in SUITES:
-        names = [name]
-    else:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from all, {', '.join(SUITES)}")
-    reports = []
-    for key in names:
-        for check in SUITES[key]:
-            if check is check_morphisms_i_j:
-                reports.append(check(universe, weight_bound=weight_bound, fault=fault))
-            else:
-                reports.append(check(universe, fault=fault))
-    return reports
+    kwargs = {check_morphisms_i_j: {"weight_bound": weight_bound}}
+    return [
+        check(universe, fault=fault, **kwargs.get(check, {}))
+        for key in SUITES
+        if name in ("all", key)
+        for check in SUITES[key]
+    ]
 
 
 def reports_to_json(reports) -> str:

@@ -201,6 +201,11 @@ def test_bad_lambda_exits_2(capsys):
     assert "rational" in err
 
 
+def test_bad_lambda_is_reported_before_a_malformed_tree(capsys):
+    code, out, err = run(capsys, "arrow", "-T", "r:1[", "-S", "s:1", "--lambda", "q")
+    assert (code, out, err) == (2, "", "error: bad rational 'q' (at position 0)\n")
+
+
 def test_check_passes_on_small_universe(capsys):
     code, out, _ = run(
         capsys, "check", "--suite", "iso", "--nmax", "2", "--wmax", "2"

@@ -4,7 +4,17 @@ import json
 
 import pytest
 
-from graftop import WeightedTree, compose_lambda, nap_compose, parse_tree, verify
+from graftop import (
+    LambdaPoly,
+    TreeCombination,
+    WeightedTree,
+    arrow_lambda,
+    compose_lambda,
+    nap_compose,
+    parse_tree,
+    psi,
+    verify,
+)
 from graftop.verify import (
     CheckReport,
     Universe,
@@ -207,6 +217,60 @@ def test_fault_reports(check, universe, kwargs, instances, failures, examples):
     assert (report.instances, report.failure_count, report.counterexamples) == (
         instances, failures, examples
     )
+
+
+def _without_top_term(S, v, T):
+    """compose_lambda without its highest-degree term, when it has two or more."""
+    combo = compose_lambda(S, v, T)
+    if len(combo) < 2:
+        return combo
+    top, _ = max(combo.terms(), key=lambda term: term[1].degree)
+    return TreeCombination((t, c) for t, c in combo.terms() if t != top)
+
+
+def _heavy_root_nap(S, v, T):
+    """nap_compose with its root weight raised by 1."""
+    tree = nap_compose(S, v, T)
+    return WeightedTree(tree.label, tree.weight + 1, tree.children)
+
+
+def _lifted_psi(x, branch_order=None):
+    """psi times L whenever the branch order starts with a nonzero index."""
+    combo = psi(x, branch_order)
+    return combo * LambdaPoly.monomial(1) if branch_order and branch_order[0] else combo
+
+
+# A bug in one operation that a clean check's failure description, which no
+# fault gate reaches, catches: the operation patched into verify, its
+# replacement, the check, its universe and keyword arguments, and the
+# report's instances, failures and first counterexample's prefix.
+CLEAN_CHECK_BUGS = [
+    ("compose_lambda", _without_top_term, check_morphisms_i_j, Universe(2, 1),
+     {"weight_bound": 4}, 15, 4, "all-maps morphism "),
+    ("compose_lambda", _without_top_term, check_specializations, SMALL, {}, 51, 4, "parameter-1 "),
+    ("nap_compose", _heavy_root_nap, check_specializations, SMALL, {}, 25, 25,
+     "root-only composition "),
+    ("compose_lambda", lambda S, v, T: compose_lambda(S, v, T) or TreeCombination.of(T),
+     check_unit_laws, SMALL, {}, 10, 10, "weight-mismatched left unit not zero "),
+    ("arrow_lambda", lambda x, y: arrow_lambda(x, y) * 2, check_deformed_identity, SMALL, {},
+     224, 8, "graft vs oracle "),
+    ("psi", _lifted_psi, check_roundtrip_psi_phi, Universe(3, 1), {}, 12, 3,
+     "branch order (1, 0) "),
+]
+
+
+@pytest.mark.parametrize(
+    "operation, bug, check, universe, kwargs, instances, failures, prefix",
+    CLEAN_CHECK_BUGS,
+    ids=[f"{check.__name__}-{operation}" for operation, _, check, *_ in CLEAN_CHECK_BUGS],
+)
+def test_clean_checks_catch_a_bug_no_fault_gate_injects(
+    monkeypatch, operation, bug, check, universe, kwargs, instances, failures, prefix
+):
+    monkeypatch.setattr(verify, operation, bug)
+    report = check(universe, **kwargs)
+    assert (report.instances, report.failure_count) == (instances, failures)
+    assert report.counterexamples[0].startswith(prefix), report.counterexamples
 
 
 def test_clean_suite_instance_counts():
