@@ -4,10 +4,11 @@ map phi / rewriting map psi that translate between bracket expressions and
 tree combinations.
 
 phi evaluates a bracket through the deformed grafting product, one graft
-per product node.  psi rewrites a tree back into brackets by peeling one
-branch at a time; peeling is not free, so each step subtracts a correction
-sum weighted by the peeled branch's weight.  The two maps are mutually
-inverse through phi: phi(psi(T)) is exactly T with coefficient 1.
+per product node.  psi inverts it one root branch at a time: the graft of
+the first branch onto the rest of the tree is the tree itself plus lower
+terms, so psi of the tree is the product of the two parts' psi minus psi of
+those terms.  The two maps are mutually inverse through phi: phi(psi(T)) is
+exactly T with coefficient 1.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Union
 
-from .algebra import Combination, LambdaPoly, TreeCombination, monomial
+from .algebra import Combination, LambdaPoly, TreeCombination
 from .errors import TreeError
 from .operad import arrow_lambda
-from .trees import UNLABELED, WeightedTree, _is_label, _Scanner
+from .trees import _LABEL_CLASS, UNLABELED, WeightedTree, _check_weight, _is_label, _Scanner
 
 # A generator, ``label_weight``, is one run of label characters.  The empty
 # run is accepted too, so a match always exists.
-_WORD = re.compile(r"[0-9A-Za-z_]*")
+_WORD = re.compile(_LABEL_CLASS + "*")
 
 
 class _Bracket:
@@ -54,8 +55,7 @@ class Generator(_Bracket):
     def __post_init__(self):
         if self.label == UNLABELED or not _is_label(self.label):
             raise TreeError(f"invalid generator label {self.label!r}")
-        if type(self.weight) is bool or not isinstance(self.weight, int) or self.weight < 1:
-            raise TreeError(f"generator weight must be a positive integer, got {self.weight!r}")
+        _check_weight(self.weight, "generator")
         object.__setattr__(self, "encoding", f"{self.label}_{self.weight}")
         object.__setattr__(self, "labels", frozenset((self.label,)))
 
@@ -163,10 +163,10 @@ def psi(x, branch_order: tuple[int, ...] | None = None) -> BracketCombination:
     """Rewrite a tree (or tree combination, linearly) into brackets.
 
     A single vertex is its generator.  Otherwise peel the first branch
-    B1 off the root: psi(T) is (psi(rest) psi(B1)) minus L**weight(B1)
-    times the sum of psi over the trees where B1 is instead grafted into
-    one of the remaining branches.  Branches are taken in canonical
-    order; ``branch_order`` permutes them at this call only.
+    B1 off the root, leaving ``head``: the graft ``head <- B1`` is T plus
+    lower terms, where B1 hangs deeper, so psi(T) is (psi(head) psi(B1))
+    minus psi of the lower terms, with their coefficients.  Branches are
+    taken in canonical order; ``branch_order`` permutes them at this call only.
     """
     if isinstance(x, TreeCombination):
         if branch_order is not None:
@@ -191,20 +191,15 @@ def psi(x, branch_order: tuple[int, ...] | None = None) -> BracketCombination:
     if not branches:
         result = BracketCombination.of(root)
     else:
-        first_branch, rest = branches[0], branches[1:]
-        head = corolla_assemble(root, rest)
+        first_branch = branches[0]
+        head = corolla_assemble(root, branches[1:])
         # Recursion descends: head and first_branch lose vertices, the
-        # correction trees keep the size but lose one root branch.
-        minus_lam = -monomial(first_branch.total_weight)
-
-        def corrections():
-            for j in range(len(rest)):
-                for grafted, coeff in arrow_lambda(rest[j], first_branch)._terms.items():
-                    merged = corolla_assemble(root, rest[:j] + (grafted,) + rest[j + 1:])
-                    yield minus_lam * coeff, psi(merged)
-
-        head_product = bracket_mul(psi(head), psi(first_branch))
-        result = BracketCombination._sum(corrections(), dict(head_product._terms))
+        # lower terms keep the size but lose one root branch.
+        lower = arrow_lambda(head, first_branch)._terms.items()
+        product = bracket_mul(psi(head), psi(first_branch))
+        result = BracketCombination._sum(
+            ((-coeff, psi(t)) for t, coeff in lower if t != x), dict(product._terms)
+        )
 
     if branch_order is None:
         _PSI_MEMO[x] = result

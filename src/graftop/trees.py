@@ -23,29 +23,29 @@ UNLABELED = "_"
 _LABEL_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 )
+# The characters of _LABEL_CHARS as a regular-expression class: labels,
+# vertex heads and bracket generators are all read with it.
+_LABEL_CLASS = "[0-9A-Za-z_]"
+_LABEL = re.compile(_LABEL_CLASS + "+")
 # A vertex head, ``label:weight``, with the whitespace around it: the label
-# from _LABEL_CHARS and the weight from ASCII digits.  Every part may be
+# from _LABEL_CLASS and the weight from ASCII digits.  Every part may be
 # empty, so it always matches, and an empty part is where a malformed head
 # fails.  ``\s`` and ``str.isspace`` agree on every character.
-_HEAD = re.compile(r"\s*([0-9A-Za-z_]*)\s*(:?)\s*([0-9]*)\s*")
+_HEAD = re.compile(rf"\s*({_LABEL_CLASS}*)\s*(:?)\s*([0-9]*)\s*")
 
 _BY_ENCODING = attrgetter("encoding")
 _new = object.__new__
 
 
-def _check_weight(weight) -> None:
+def _check_weight(weight, owner: str = "vertex") -> None:
     if type(weight) is bool or not isinstance(weight, int) or weight < 1:
-        raise TreeError(f"vertex weight must be a positive integer, got {weight!r}")
+        raise TreeError(f"{owner} weight must be a positive integer, got {weight!r}")
 
 
 def _is_label(label) -> bool:
     """A nonempty string of ASCII letters, digits and ``_`` (the characters
     of ``_LABEL_CHARS``)."""
-    return (
-        isinstance(label, str)
-        and label.isascii()
-        and (label.isalnum() or label.replace("_", "0").isalnum())
-    )
+    return isinstance(label, str) and _LABEL.fullmatch(label) is not None
 
 
 def _check_label(label) -> None:

@@ -250,11 +250,14 @@ def test_dims_rejects_nonpositive_wmax(capsys, value):
     assert "--wmax" in err and "must be >= 1" in err
 
 
-def test_internal_error_exits_3_without_traceback(capsys):
-    # a bracket expression that parses, nested deeper than phi's recursive
-    # evaluation allows
-    deep = "(" * 3000 + "g0_1" + "".join(f" g{i}_1)" for i in range(1, 3001))
-    code, out, err = run(capsys, "phi", "-e", deep)
+def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
+    # any exception other than rejected input is an internal error: one
+    # line, no traceback
+    def broken(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("graftop.cli.phi", broken)
+    code, out, err = run(capsys, "phi", "-e", "(x_1 y_1)")
     assert code == 3
     assert not out
     assert err.startswith("error: internal error: RecursionError") and err.count("\n") == 1

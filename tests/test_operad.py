@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graftop import (
     LAMBDA,
@@ -785,6 +787,63 @@ def test_classical_derivation_relation(sub, graft):
                     _lift(sub(T, U), graft, S), _lift(sub(S, U), graft, T, flip=True)
                 )
                 assert lhs == rhs, (T.encoding, S.encoding, U.encoding)
+
+
+# --- closed forms on random trees ---------------------------------------------------
+#
+# A term's exponent is the potential energy its reattachment adds, so the
+# coefficients of a product sum to a closed form in the depths of the host's
+# vertices.  These reach past the bounded universes: hosts of up to about 30
+# vertices and up to 5 moved branches.
+
+def _random_tree(draw, prefix, n, extra=None):
+    """A random labeled tree on ``n`` vertices; ``extra`` maps a vertex index
+    to subtrees also hung there."""
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    weights = [draw(st.integers(1, 3)) for _ in range(n)]
+    kids = [list((extra or {}).get(i, ())) for i in range(n)]
+    for i in range(n - 1, -1, -1):  # every child is built before its parent
+        kids[i] = WeightedTree(f"{prefix}{i}", weights[i], tuple(kids[i]))
+        if i:
+            kids[parents[i - 1]].append(kids[i])
+    return kids[0]
+
+
+def _depth_sum(T, w):
+    """The sum over the vertices u of T of L**(w * depth(u))."""
+    return sum((mono(w * len(path)) for path, _ in T.walk()), LambdaPoly.zero())
+
+
+def _coefficient_sum(combination):
+    return sum((c for _, c in combination.terms()), LambdaPoly.zero())
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_arrow_coefficients_sum_to_the_depth_closed_form(data):
+    T = _random_tree(data.draw, "t", data.draw(st.integers(1, 30)))
+    S = _random_tree(data.draw, "s", data.draw(st.integers(1, 5)))
+    assert _coefficient_sum(arrow_lambda(T, S)) == _depth_sum(T, S.total_weight)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_compose_coefficients_sum_to_the_product_closed_form(data):
+    draw = data.draw
+    k = draw(st.integers(0, 5))
+    # |T|**k terms: at most 30 vertices in T, and about 1,000 terms
+    T = _random_tree(draw, "t", draw(st.integers(1, min(30, round(1000 ** (1 / k))) if k else 30)))
+    branches = [_random_tree(draw, f"b{i}x", draw(st.integers(1, 4))) for i in range(k)]
+    v = WeightedTree("v", T.total_weight, tuple(branches))
+    if draw(st.booleans()):
+        S = v
+    else:
+        n = draw(st.integers(1, 10))
+        S = _random_tree(draw, "s", n, {draw(st.integers(0, n - 1)): (v,)})
+    expected = LambdaPoly.one()
+    for b in branches:
+        expected = expected * _depth_sum(T, b.total_weight)
+    assert _coefficient_sum(compose_lambda(S, S.ref("v"), T)) == expected
 
 
 # --- rejections -------------------------------------------------------------------

@@ -6,6 +6,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graftop import (
     LAMBDA,
@@ -16,7 +18,11 @@ from graftop import (
     ParseError,
     TreeCombination,
     TreeError,
+    WeightedTree,
+    arrow_lambda,
     bracket_mul,
+    corolla_assemble,
+    corolla_decomposition,
     enumerate_labeled_trees,
     parse_bracket,
     parse_tree,
@@ -276,8 +282,6 @@ def test_psi_bad_branch_order_rejected():
 
 
 def test_corolla_decomposition_roundtrip():
-    from graftop import corolla_assemble, corolla_decomposition
-
     for text in ["x:4", "x:2[y:3]", "a:1[b:3[c:2,d:1],e:1]"]:
         t = parse_tree(text)
         root, branches = corolla_decomposition(t)
@@ -295,6 +299,81 @@ def test_psi_coefficient_degree_stays_bounded():
     assert len(out) > 1
     assert max(c.degree for _, c in out.terms()) <= t.energy
     assert phi(out) == TreeCombination.of(t)
+
+
+# --- psi against the branch-by-branch correction sum it replaced ------------------
+
+def _psi_by_branch_grafts(tree, order=None, memo=None):
+    """psi as a sum over the other root branches: peel the first branch B1,
+    then subtract L**w(B1) times psi of every tree where B1 is grafted into
+    one of the other root branches instead.  Its own memo, public
+    arithmetic only."""
+    memo = {} if memo is None else memo
+    if order is None and tree in memo:
+        return memo[tree]
+    root, branches = corolla_decomposition(tree)
+    if order is not None:
+        branches = tuple(branches[i] for i in order)
+    if not branches:
+        result = BracketCombination.of(root)
+    else:
+        first, rest = branches[0], branches[1:]
+        result = bracket_mul(
+            _psi_by_branch_grafts(corolla_assemble(root, rest), None, memo),
+            _psi_by_branch_grafts(first, None, memo),
+        )
+        lam = mono(first.total_weight)
+        for j in range(len(rest)):
+            for grafted, coeff in arrow_lambda(rest[j], first).terms():
+                merged = corolla_assemble(root, rest[:j] + (grafted,) + rest[j + 1:])
+                result = result - _psi_by_branch_grafts(merged, None, memo).scale(lam * coeff)
+    if order is None:
+        memo[tree] = result
+    return result
+
+
+def _assert_graft_is_tree_plus_lower_terms(tree):
+    # head <- B1 is the tree with coefficient exactly 1, and every other
+    # term sinks B1 at least one level, so its degree is at least w(B1)
+    root, branches = corolla_decomposition(tree)
+    for i, first in enumerate(branches):
+        head = corolla_assemble(root, branches[:i] + branches[i + 1:])
+        grafts = arrow_lambda(head, first)
+        assert grafts.coefficient(tree) == LambdaPoly.one()
+        for t, coeff in grafts.terms():
+            if t != tree:
+                assert coeff.terms()[0][0] >= first.total_weight
+
+
+def test_psi_equals_the_branch_graft_correction_sum_on_a_universe():
+    memo = {}
+    for t in Universe(4, 2).trees():
+        assert psi(t) == _psi_by_branch_grafts(t, None, memo)
+        for order in itertools.permutations(range(len(t.children))):
+            assert psi(t, order) == _psi_by_branch_grafts(t, order, memo)
+        _assert_graft_is_tree_plus_lower_terms(t)
+
+
+@st.composite
+def labeled_trees(draw, max_size=7, max_weight=2):
+    n = draw(st.integers(1, max_size))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    weights = [draw(st.integers(1, max_weight)) for _ in range(n)]
+    kids = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):  # every child is built before its parent
+        kids[i] = WeightedTree(f"n{i}", weights[i], tuple(kids[i]))
+        if i:
+            kids[parents[i - 1]].append(kids[i])
+    return kids[0]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_psi_equals_the_branch_graft_correction_sum_on_random_trees(data):
+    t = data.draw(labeled_trees())
+    order = data.draw(st.permutations(range(len(t.children))))
+    assert psi(t, tuple(order)) == _psi_by_branch_grafts(t, tuple(order))
+    _assert_graft_is_tree_plus_lower_terms(t)
 
 
 def test_psi_phi_memos_shared_by_threads_give_the_serial_results(monkeypatch):
