@@ -4,8 +4,8 @@ suites.
 
 Exit codes: 0 success (including weight-mismatch compositions, which print
 ``0``), 1 verification failure, 2 parse or usage error, 3 unexpected
-internal error (for example ``phi`` of a bracket expression nested too
-deeply to evaluate).  A reader that closes stdout early is no error: the
+internal error (for example ``psi`` of a 2,000-vertex chain, which recurses
+too deeply).  A reader that closes stdout early is no error: the
 run ends quietly, with the code it has when it stops printing.
 """
 

@@ -278,18 +278,13 @@ def _fresh_label(taken, base="u"):
 def compose_unit_left(n: int, T: WeightedTree) -> TreeCombination:
     """Compose the weight-n unit with T: the identity on weight-n trees,
     zero otherwise."""
-    if not T.is_labeled:
-        return TreeCombination.of(T) if T.total_weight == n else TreeCombination.zero()
-    u = unit(n, _fresh_label(T.labels))
-    return compose_lambda(u, VertexRef(u, ()), T)
+    return TreeCombination.of(T) if T.total_weight == n else TreeCombination.zero()
 
 
 def compose_unit_right(S: WeightedTree, v: VertexRef) -> TreeCombination:
     """Compose S at v with the unit of matching weight: always S itself."""
     _owned(S, v)
-    if not S.is_labeled:
-        return TreeCombination.of(S)
-    return compose_lambda(S, v, unit(v.weight, v.label))
+    return TreeCombination.of(S)
 
 
 def gamma(a: WeightedTree, parts: Mapping[str, WeightedTree]) -> TreeCombination:

@@ -154,7 +154,14 @@ def _evaluate(x, arrow, memo: dict) -> TreeCombination:
     if isinstance(x, Pair):
         hit = memo.get(x)
         if hit is None:
-            hit = memo[x] = arrow(_evaluate(x.left, arrow, memo), _evaluate(x.right, arrow, memo))
+            stack = [x]  # products to evaluate, each after its factors: depth is no limit
+            while stack:
+                todo = [f for f in (stack[-1].left, stack[-1].right) if isinstance(f, Pair) and f not in memo]
+                stack += todo
+                if not todo:
+                    node = stack.pop()
+                    memo[node] = arrow(_evaluate(node.left, arrow, memo), _evaluate(node.right, arrow, memo))
+            hit = memo[x]
         return hit
     raise TypeError(f"expected a bracket expression or combination, got {type(x).__name__}")
 

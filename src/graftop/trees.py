@@ -74,9 +74,10 @@ class WeightedTree:
     that the children's labels are disjoint from each other and from
     ``label`` (or that all are ``_``).  The operations in ``operad`` and
     ``relabel``/``reweight``/``strip_labels`` call it only after their
-    argument checks have established that, and the shrinker in ``verify``
-    only for its reductions (drop a leaf, lower a weight above 1), which
-    keep a valid tree valid.
+    argument checks have established that, ``enumerate_unlabeled_trees``
+    only with ``_`` over trees it built itself, and the shrinker in
+    ``verify`` only for its reductions (drop a leaf, lower a weight above
+    1), which keep a valid tree valid.
     """
 
     __slots__ = (
@@ -441,14 +442,18 @@ def _tree_of_parents(parents: Mapping, weights: Mapping) -> WeightedTree:
 
 
 def enumerate_unlabeled_trees(n: int, max_weight: int) -> list[WeightedTree]:
-    """All unlabeled trees with exactly n vertices and weights in 1..max_weight."""
-    shapes = enumerate_labeled_trees(n, [1] * n)
-    order = [str(i + 1) for i in range(n)]
-    seen = set()
-    for shape in shapes:
-        for vec in itertools.product(range(1, max_weight + 1), repeat=n):
-            seen.add(strip_labels(reweight(shape, dict(zip(order, vec)))))
-    return sorted(seen, key=lambda t: (t.size, t.encoding))
+    """All unlabeled trees with exactly n vertices and weights in 1..max_weight,
+    sorted by encoding.  Built size by size: a tree of size m is a root over a
+    multiset of smaller trees whose sizes sum to m - 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    trees, forests = [None], [{()}]  # by size k: every tree; every multiset of trees, encoding-sorted
+    for m in range(1, n + 1):
+        if m > 1:
+            forests.append({tuple(sorted(f + (t,), key=_BY_ENCODING))
+                            for k in range(1, m) for t in trees[k] for f in forests[m - 1 - k]})
+        trees.append([WeightedTree._node(UNLABELED, w, f) for w in range(1, max_weight + 1) for f in forests[-1]])
+    return sorted(trees[n], key=_BY_ENCODING)
 
 
 class _Scanner:

@@ -60,39 +60,29 @@ class Universe:
     n_max: int
     w_max: int
 
+    @lru_cache(maxsize=None)
     def trees(self, prefix: str = "a") -> tuple[WeightedTree, ...]:
-        return _labeled_universe(self.n_max, self.w_max, prefix)
+        """Every labeled tree, vertices labeled ``prefix1``, ``prefix2``, ..."""
+        out = []
+        for n in range(1, self.n_max + 1):
+            labels = [f"{prefix}{i + 1}" for i in range(n)]
+            shapes = enumerate_labeled_trees(n, [1] * n, labels)
+            for vec in itertools.product(range(1, self.w_max + 1), repeat=n):
+                assignment = dict(zip(labels, vec))
+                out.extend(reweight(shape, assignment) for shape in shapes)
+        return tuple(out)
 
     def shapes(self, prefix: str = "a") -> tuple[WeightedTree, ...]:
         """All-1-weight labeled trees, one per labeled shape."""
-        return _labeled_universe(self.n_max, 1, prefix)
+        return Universe(self.n_max, 1).trees(prefix)
 
+    @lru_cache(maxsize=None)
     def unlabeled_trees(self) -> tuple[WeightedTree, ...]:
-        return _unlabeled_universe(self.n_max, self.w_max)
+        return tuple(t for n in range(1, self.n_max + 1) for t in enumerate_unlabeled_trees(n, self.w_max))
 
 
 DEFAULT_TRIPLE_UNIVERSE = Universe(3, 3)
 DEFAULT_PAIR_UNIVERSE = Universe(4, 2)
-
-
-@lru_cache(maxsize=None)
-def _labeled_universe(n_max: int, w_max: int, prefix: str) -> tuple[WeightedTree, ...]:
-    out = []
-    for n in range(1, n_max + 1):
-        labels = [f"{prefix}{i + 1}" for i in range(n)]
-        shapes = enumerate_labeled_trees(n, [1] * n, labels)
-        for vec in itertools.product(range(1, w_max + 1), repeat=n):
-            assignment = dict(zip(labels, vec))
-            out.extend(reweight(shape, assignment) for shape in shapes)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _unlabeled_universe(n_max: int, w_max: int) -> tuple[WeightedTree, ...]:
-    out = []
-    for n in range(1, n_max + 1):
-        out.extend(enumerate_unlabeled_trees(n, w_max))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from graftop import (
     LAMBDA,
+    BracketCombination,
+    Generator,
     LambdaPoly,
     ParseError,
     TreeCombination,
@@ -21,7 +23,7 @@ from graftop import (
     poly_eval,
     specialize,
 )
-from graftop.algebra import accumulate, monomial
+from graftop.algebra import Combination, accumulate, monomial
 
 fractions = st.builds(
     Fraction, st.integers(-30, 30), st.integers(1, 12)
@@ -345,3 +347,58 @@ def test_sum_with_unit_and_other_coefficients_matches_add_and_scale(parts):
     for coeff, combo in parts:
         expected = expected + combo.scale(coeff)
     assert TreeCombination._sum(parts) == expected
+
+
+# --- protocol arms and public rejections -------------------------------------------
+
+FOREIGN = object()  # an operand no graftop type knows
+
+
+def test_poly_operators_defer_on_foreign_operands():
+    p = parse_poly("1 + L")
+    assert p.__eq__(FOREIGN) is NotImplemented and p != FOREIGN
+    for op in (lambda: p + FOREIGN, lambda: p - FOREIGN, lambda: FOREIGN - p):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+
+
+def test_poly_hash_and_protocol_values():
+    assert hash(LambdaPoly.zero()) == hash(0)
+    p = parse_poly("1/2 + 3*L^2")
+    assert repr(p) == "LambdaPoly.parse('1/2 + 3*L^2')"
+    assert LambdaPoly.parse("1/2 + 3*L^2") == p
+
+
+@pytest.mark.parametrize("n", [-1, 1.5])
+def test_poly_power_rejects_bad_exponents(n):
+    with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+        LAMBDA ** n
+
+
+def test_evaluate_rejects_inexact_values():
+    with pytest.raises(TypeError, match="^expected an exact rational, got float$"):
+        LAMBDA.evaluate(0.5)
+
+
+def test_combination_protocol_values():
+    combo = TreeCombination(((T2, LAMBDA), (T1, 2)))
+    assert list(combo) == combo.terms() == [(T1, LambdaPoly.constant(2)), (T2, LAMBDA)]
+    assert repr(combo) == "<TreeCombination 2 * a:1[b:2] + L * c:3>"
+
+
+def test_combination_base_class_has_no_term_type():
+    with pytest.raises(NotImplementedError):
+        Combination()
+
+
+def test_combination_operators_defer_on_foreign_operands():
+    trees = TreeCombination.of(T1)
+    brackets = BracketCombination.of(Generator("x", 1))
+    for op in (lambda: trees + brackets, lambda: trees - brackets, lambda: trees * FOREIGN):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+
+
+def test_tree_combination_rejects_non_tree_terms():
+    with pytest.raises(TreeError, match="^tree combination term must be a WeightedTree, got 'x'$"):
+        TreeCombination.of("x")

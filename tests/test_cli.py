@@ -109,6 +109,12 @@ def test_enumerate_counts_and_weights(capsys):
     assert sorted(out.split()) == ["1:5[2:7]", "2:7[1:5]"]
 
 
+def test_enumerate_json(capsys):
+    code, out, _ = run(capsys, "enumerate", "-n", "2", "--json")
+    assert code == 0
+    assert out == '{"trees": ["1:1[2:1]", "2:1[1:1]"]}\n'
+
+
 def test_dims(capsys):
     code, out, _ = run(capsys, "dims", "-n", "4")
     assert code == 0
@@ -270,6 +276,18 @@ def test_deep_chain_host_composes(capsys):
     code, out, err = run(capsys, "compose", "-S", chain, "-v", "c0", "-T", "x:1")
     assert (code, err) == (0, "")
     assert out == "1 * " + chain.replace("c0:1", "x:1") + "\n"
+
+
+def test_deep_right_nested_bracket_evaluates(capsys, monkeypatch):
+    # phi evaluates the factors of a bracket from its own stack, so nesting
+    # depth is no limit; a memo of its own frees the products afterwards
+    monkeypatch.setattr(graftop.presentation, "_PHI_MEMO", {})
+    n = 1500
+    text = "".join(f"(g{i}_1 " for i in range(n)) + f"g{n}_1" + ")" * n
+    code, out, err = run(capsys, "phi", "-e", text)
+    assert (code, err) == (0, "")
+    chain = "".join(f"g{i}:1[" for i in range(n)) + f"g{n}:1" + "]" * n
+    assert out == "1 * " + chain + "\n"
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ from graftop import (
     specialize,
     unit,
 )
-from graftop.operad import _compositions
+from graftop.operad import _compositions, _fresh_label
 from graftop.verify import Universe, oracle_compose_root, oracle_compose_terms
 
 S_EX = parse_tree("a:1[b:3[c:2,d:1]]")
@@ -872,9 +872,28 @@ LEAF = parse_tree("_:1")
             lambda: morphism_i_check(S_EX, parse_tree("a:1"), S_EX.ref("b"), 5),
             "morphism check requires label-disjoint trees",
         ),
+        (
+            lambda: compose_positional(parse_tree("1:1[2:1]"), 1, parse_tree("2:1")),
+            "positional composition requires inserted labels 1..m",
+        ),
+        (
+            lambda: compose_positional(parse_tree("1:1[2:1]"), 3, parse_tree("1:1")),
+            "position 3 out of range 1..2",
+        ),
+        (lambda: S_EX.node_at((0, 2)), "no vertex at path (0, 2) in a:1[b:3[c:2,d:1]]"),
     ],
 )
 def test_rejection_messages(call, message):
     with pytest.raises(TreeError) as caught:
         call()
     assert str(caught.value) == message
+
+
+def test_fresh_label_skips_taken_labels():
+    assert _fresh_label(set()) == "u0"
+    assert _fresh_label({"u0", "u1", "u3"}) == "u2"
+
+
+def test_bilinear_products_reject_non_tree_operands():
+    with pytest.raises(TypeError, match="^expected a tree or tree combination, got int$"):
+        arrow_lambda(5, T_EX)

@@ -152,6 +152,18 @@ def test_psi_rejects_a_branch_order_on_a_combination():
     assert str(caught.value) == "branch_order applies to a single tree"
 
 
+def test_bracket_protocol_values_and_type_rejections():
+    x = Generator("x", 1)
+    assert (repr(x), str(x)) == ("<bracket x_1>", "x_1")
+    with pytest.raises(TreeError) as caught:
+        BracketCombination.of(parse_tree("a:1"))
+    assert str(caught.value) == "bracket combination term must be a bracket expression, got WeightedTree('a:1')"
+    with pytest.raises(TypeError, match="^expected a bracket expression or combination, got int$"):
+        phi(5)
+    with pytest.raises(TypeError, match="^expected a tree or tree combination, got int$"):
+        psi(5)
+
+
 def test_phi_annihilates_relation_small_weights():
     for k, l, m in itertools.product((1, 2), repeat=3):
         assert phi(relation_r(k, l, m)) == TreeCombination.zero()

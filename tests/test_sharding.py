@@ -56,6 +56,14 @@ RUNS = [
 ]
 
 
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_cpus_without_an_affinity_call(monkeypatch, count, cpus):
+    # where os.sched_getaffinity is missing, every CPU counts, and at least one
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert verify._cpus() == cpus
+
+
 def with_cpus(monkeypatch, n):
     monkeypatch.setattr(verify, "_cpus", lambda: n)
 

@@ -279,6 +279,54 @@ def test_unlabeled_enumeration_counts():
     assert len(enumerate_unlabeled_trees(3, 2)) == 8 + 6
 
 
+def _unlabeled_by_labeled_detour(n, max_weight):
+    """Reference: every labeled shape on n vertices under every weight
+    vector, its labels stripped, deduplicated and sorted by encoding."""
+    order = [str(i + 1) for i in range(n)]
+    seen = set()
+    for shape in enumerate_labeled_trees(n, [1] * n):
+        for vec in itertools.product(range(1, max_weight + 1), repeat=n):
+            seen.add(strip_labels(reweight(shape, dict(zip(order, vec)))))
+    return sorted(seen, key=lambda t: t.encoding)
+
+
+@pytest.mark.parametrize(
+    "n, max_weight", [(n, w) for n in range(1, 6) for w in range(1, 4)] + [(6, 1)]
+)
+def test_unlabeled_enumeration_matches_the_labeled_detour(n, max_weight):
+    assert enumerate_unlabeled_trees(n, max_weight) == _unlabeled_by_labeled_detour(n, max_weight)
+
+
+@pytest.mark.parametrize(
+    "max_weight, counts",
+    [
+        (1, [1, 1, 2, 4, 9, 20, 48, 115]),  # OEIS A000081
+        (2, [2, 4, 14, 52, 214, 916, 4116]),  # OEIS A038055
+    ],
+)
+def test_unlabeled_enumeration_counts_match_oeis(max_weight, counts):
+    for n, count in enumerate(counts, start=1):
+        trees = enumerate_unlabeled_trees(n, max_weight)
+        encodings = [t.encoding for t in trees]
+        assert len(trees) == count
+        assert encodings == sorted(set(encodings))  # sorted, no repeats
+        assert all(t.size == n and t.labels == {"_"} for t in trees)
+
+
+def test_unlabeled_enumeration_rejections():
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        enumerate_unlabeled_trees(0, 1)
+    with pytest.raises(TypeError):
+        enumerate_unlabeled_trees(2.5, 1)
+
+
+def test_labeled_enumeration_rejects_bad_weights_and_labels():
+    with pytest.raises(ValueError, match="^expected 2 weights, got 1$"):
+        enumerate_labeled_trees(2, [1])
+    with pytest.raises(ValueError, match="^labels must be n distinct strings$"):
+        enumerate_labeled_trees(2, [1, 1], ["a", "a"])
+
+
 # --- relabel / reweight ----------------------------------------------------------
 
 def test_relabel_identity():
