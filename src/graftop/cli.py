@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import ParseError, TreeError
 from .operad import arrow_lambda, butcher_product, circ_sum, compose_lambda, nap_compose
 from .presentation import parse_bracket, phi, psi
-from .trees import enumerate_labeled_trees, parse_tree
+from .trees import _labeled_trees, parse_tree
 from .verify import SUITES, Universe, reports_to_json, run_suite
 
 
@@ -81,9 +81,12 @@ def _cmd_enumerate(args) -> int:
     weights = args.weights or [1] * args.n
     if len(weights) != args.n:
         raise ParseError(f"expected {args.n} weights, got {len(weights)}", 0)
-    trees = enumerate_labeled_trees(args.n, weights)
-    if args.json:
-        print(json.dumps({"trees": [t.encoding for t in trees]}))
+    trees = _labeled_trees(args.n, weights)
+    if args.json:  # json.dumps's layout, each tree printed as it is built
+        print('{"trees": [', end="")
+        for i, t in enumerate(trees):
+            print(", " * (i > 0) + json.dumps(t.encoding), end="")
+        print("]}")
     else:
         for t in trees:
             print(t.encoding)

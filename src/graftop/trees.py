@@ -75,7 +75,8 @@ class WeightedTree:
     ``label`` (or that all are ``_``).  The operations in ``operad`` and
     ``relabel``/``reweight``/``strip_labels`` call it only after their
     argument checks have established that, ``enumerate_unlabeled_trees``
-    only with ``_`` over trees it built itself, and the shrinker in
+    only with ``_`` over trees it built itself, the labeled enumerations
+    only after checking their labels and weights, and the shrinker in
     ``verify`` only for its reductions (drop a leaf, lower a weight above
     1), which keep a valid tree valid.
     """
@@ -383,24 +384,33 @@ def enumerate_labeled_trees(
     weights: Sequence[int],
     labels: Sequence[str] | None = None,
 ) -> list[WeightedTree]:
-    """All labeled rooted trees on n vertices, vertex i carrying weights[i].
+    """All labeled rooted trees on n vertices, vertex i carrying weights[i],
+    in the order of ``_parent_maps``; there are n**(n-1) of them."""
+    return list(_labeled_trees(n, weights, labels))
 
-    Keeps the (root, parent map) pairs whose walk up from every vertex
-    reaches the root within n steps; there are n**(n-1) of them.
-    """
+
+def _labeled_trees(n: int, weights: Sequence[int], labels: Sequence[str] | None = None):
+    """Check the arguments of ``enumerate_labeled_trees`` and return a lazy
+    stream of its trees.  The first, the star at vertex 0, is built with the
+    validating constructor, which checks every label and weight."""
     if n < 1:
         raise ValueError("n must be >= 1")
     weights = list(weights)
     if len(weights) != n:
         raise ValueError(f"expected {n} weights, got {len(weights)}")
-    if labels is None:
-        labels = [str(i + 1) for i in range(n)]
-    labels = list(labels)
+    labels = [str(i + 1) for i in range(n)] if labels is None else list(labels)
     if len(labels) != n or len(set(labels)) != n:
         raise ValueError("labels must be n distinct strings")
-
+    WeightedTree(labels[0], weights[0], tuple(map(WeightedTree, labels[1:], weights[1:])))
     weight_of = dict(zip(labels, weights))
-    out = []
+    return (_tree_of_parents(parents, weight_of, WeightedTree._node) for parents in _parent_maps(labels))
+
+
+def _parent_maps(labels: Sequence[str]):
+    """Every rooted tree on ``labels`` as its map from each label to its
+    parent's (``None`` at the root, the first key), by root, then by parent
+    vector: the vectors whose walk up from every vertex reaches the root."""
+    n = len(labels)
     for root in range(n):
         others = [i for i in range(n) if i != root]
         for choice in itertools.product(range(n), repeat=n - 1):
@@ -414,17 +424,17 @@ def enumerate_labeled_trees(
             else:
                 parents = {labels[root]: None}
                 parents.update((labels[c], labels[p]) for c, p in enumerate(parent) if c != root)
-                out.append(_tree_of_parents(parents, weight_of))
-    return out
+                yield parents
 
 
-def _tree_of_parents(parents: Mapping, weights: Mapping) -> WeightedTree:
+def _tree_of_parents(parents: Mapping, weights: Mapping, make=WeightedTree) -> WeightedTree:
     """The tree in which vertex ``lab`` has parent ``parents[lab]`` (``None``
     at the root, the first such key) and weight ``weights[lab]``, built
-    bottom-up with the validating constructor, each vertex's children in the
-    order of ``parents``.  Iterative, so depth is not limited: the stack
-    visits children last to first, so the reversed visit order is the
-    post-order, the order in which a recursive build would meet errors."""
+    bottom-up with ``make`` (the trusted constructor once the labels and
+    weights are checked), each vertex's children in the order of
+    ``parents``.  Iterative, so depth is not limited: the stack visits
+    children last to first, so the reversed visit order is the post-order,
+    the order in which a recursive build would meet errors."""
     root = next(lab for lab, par in parents.items() if par is None)
     kids: dict = {lab: [] for lab in parents}
     for lab, par in parents.items():
@@ -437,7 +447,7 @@ def _tree_of_parents(parents: Mapping, weights: Mapping) -> WeightedTree:
         stack += kids[lab]
     built = {}
     for lab in reversed(order):
-        built[lab] = WeightedTree(lab, weights[lab], tuple([built[c] for c in kids[lab]]))
+        built[lab] = make(lab, weights[lab], tuple([built[c] for c in kids[lab]]))
     return built[root]
 
 

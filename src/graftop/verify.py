@@ -41,8 +41,9 @@ from .presentation import _evaluate, phi, psi
 from .trees import (
     UNLABELED,
     WeightedTree,
+    _check_label,
+    _parent_maps,
     _tree_of_parents,
-    enumerate_labeled_trees,
     enumerate_unlabeled_trees,
     relabel,
     reweight,
@@ -62,14 +63,17 @@ class Universe:
 
     @lru_cache(maxsize=None)
     def trees(self, prefix: str = "a") -> tuple[WeightedTree, ...]:
-        """Every labeled tree, vertices labeled ``prefix1``, ``prefix2``, ..."""
+        """Every labeled tree, vertices labeled ``prefix1``, ``prefix2``, ...,
+        by size, then weight vector, then ``enumerate_labeled_trees``'s order."""
+        labels = [f"{prefix}{i + 1}" for i in range(self.n_max)]
+        for label in labels:
+            _check_label(label)
         out = []
         for n in range(1, self.n_max + 1):
-            labels = [f"{prefix}{i + 1}" for i in range(n)]
-            shapes = enumerate_labeled_trees(n, [1] * n, labels)
+            maps = list(_parent_maps(labels[:n]))
             for vec in itertools.product(range(1, self.w_max + 1), repeat=n):
-                assignment = dict(zip(labels, vec))
-                out.extend(reweight(shape, assignment) for shape in shapes)
+                weights = dict(zip(labels, vec))
+                out.extend(_tree_of_parents(parents, weights, WeightedTree._node) for parents in maps)
         return tuple(out)
 
     def shapes(self, prefix: str = "a") -> tuple[WeightedTree, ...]:
@@ -138,18 +142,16 @@ def _run(name: str, instances, shard: bool = True) -> CheckReport:
     first ``_EXAMPLE_CAP`` descriptions and stops after the instance that
     brings the failure count to ``_FAILURE_SCAN_CAP``.
 
-    With ``shard`` set, the stream is cut into chunks of ``_CHUNK``
-    instances and scanned by forked children, one per available CPU, while
-    the parent only merges; the report is the in-process scan's in every
-    field apart from ``seconds``.  The scan stays in-process with one CPU,
-    without ``os.fork``, or while another thread is alive.  A fault gate
-    passes ``shard=False``: it stops within a few dozen instances, while
-    every child would scan on to its own cap."""
+    With ``shard`` set, forked children, one per available CPU, each walk
+    their own copy of the stream and scan their share of its chunks of
+    ``_CHUNK`` instances, while the parent pulls no instance and only
+    merges; the report is the in-process scan's apart from ``seconds``.
+    The scan stays in-process with one CPU, without ``os.fork``, or while
+    another thread is alive.  A fault gate passes ``shard=False``: it stops
+    within a few dozen instances, while every child would scan on to its
+    own cap."""
     start = time.perf_counter()
     shards = _cpus() if shard and hasattr(os, "fork") and threading.active_count() == 1 else 1
-    if shards > 1:
-        instances = list(instances)
-        shards = min(shards, -(-len(instances) // _CHUNK))
     records = _forked(instances, shards) if shards > 1 else _scan(instances)
     count = failures = 0
     examples: list[str] = []
@@ -172,31 +174,30 @@ def _scan(instances, shard: int = 0, shards: int = 1):
     and skip the others unread; with ``shards`` 1, scan the whole stream.
     Yields ``(index, descriptions)`` for each failing instance, and stops
     after the one that brings this scan's failure count to
-    ``_FAILURE_SCAN_CAP``; an instance that raises yields ``(index,
-    exception)`` and ends the scan.  A scan that runs out yields ``(number
-    of instances, None)``.
+    ``_FAILURE_SCAN_CAP``; an instance that raises, in the stream or in its
+    own scan, yields ``(index, exception)`` and ends the scan.  A scan that
+    runs out yields ``(number of instances, None)``.
 
     Sharded scans stop no earlier than the serial one: a shard reaches its
     own cap at or after the instance where all shards together reach it."""
-    failures = index = end = 0
+    failures = index = 0
     try:
-        for index, found in enumerate(instances):
-            end = index + 1
-            if index // _CHUNK % shards != shard:
-                continue
-            descriptions = list(found)
-            if descriptions:
-                yield index, descriptions
-                failures += len(descriptions)
-                if failures >= _FAILURE_SCAN_CAP:
-                    return
+        for found in instances:
+            if index // _CHUNK % shards == shard:
+                descriptions = list(found)
+                if descriptions:
+                    yield index, descriptions
+                    failures += len(descriptions)
+                    if failures >= _FAILURE_SCAN_CAP:
+                        return
+            index += 1
     except Exception as exc:
         yield index, exc
         return
-    yield end, None
+    yield index, None
 
 
-def _forked(instances: list, shards: int) -> list:
+def _forked(instances, shards: int) -> list:
     """The records of ``_scan`` over ``instances`` in index order, shard k
     scanned in the k-th of ``shards`` forked children.  A child sends its
     records back pickled through a pipe and leaves through ``os._exit``, so
@@ -232,7 +233,7 @@ def _forked(instances: list, shards: int) -> list:
     return records
 
 
-def _child(instances: list, shard: int, shards: int, write: int) -> None:
+def _child(instances, shard: int, shards: int, write: int) -> None:
     """Scan one shard, write its pickled records to ``write`` and exit; a
     child that cannot send them exits with nothing written."""
     import pickle

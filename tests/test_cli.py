@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import graftop
+from graftop import enumerate_labeled_trees
 from graftop.cli import main
 
 
@@ -120,8 +122,6 @@ def test_dims(capsys):
     assert code == 0
     assert out.strip() == "64"
     # enumeration oracle for the displayed count
-    from graftop import enumerate_labeled_trees
-
     assert len(enumerate_labeled_trees(4, [1] * 4)) == 64
 
 
@@ -336,19 +336,58 @@ def test_dims_prints_counts_beyond_the_int_digit_limit(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+@pytest.mark.parametrize("weights", [None, "2,1,3,1"])
+def test_enumerate_prints_the_trees_of_the_list(capsys, weights):
+    extra = ["--weights", weights] if weights else []
+    trees = enumerate_labeled_trees(4, [int(w) for w in weights.split(",")] if weights else [1] * 4)
+    code, out, _ = run(capsys, "enumerate", "-n", "4", *extra)
+    assert (code, out) == (0, "".join(t.encoding + "\n" for t in trees))
+    code, out, _ = run(capsys, "enumerate", "-n", "4", "--json", *extra)
+    assert (code, out) == (0, json.dumps({"trees": [t.encoding for t in trees]}) + "\n")
+
+
+def cli_env():
+    """The environment with this checkout's graftop first on the path."""
+    src = str(Path(graftop.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def test_enumerate_prints_its_first_trees_before_it_builds_the_rest():
+    # n = 8 has 2,097,152 trees; the first three lines arrive and the run
+    # ends quietly once the reader stops, well within a minute.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graftop.cli", "enumerate", "-n", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+    )
+    watchdog = threading.Timer(60, proc.kill)
+    watchdog.start()
+    try:
+        lines = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+    finally:
+        watchdog.cancel()
+        proc.stderr.close()
+    assert lines == [
+        "1:1[2:1,3:1,4:1,5:1,6:1,7:1,8:1]\n",
+        "1:1[2:1[8:1],3:1,4:1,5:1,6:1,7:1]\n",
+        "1:1[2:1,3:1[8:1],4:1,5:1,6:1,7:1]\n",
+    ]
+    assert (code, err) == (0, "")
+
+
 def run_with_closed_stdout(*argv):
     """Run the CLI in a child whose stdout is a pipe nobody reads: the read
     end is closed before the child starts, so its first write to stdout
     fails with a broken pipe."""
-    src = str(Path(graftop.__file__).resolve().parents[1])
-    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "graftop.cli", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=120,
         )
     finally:
         os.close(write_end)

@@ -143,6 +143,59 @@ def test_merge_matches_the_serial_stop(monkeypatch, failing, raising, expected, 
     assert_no_child_left()
 
 
+def stream_raising(failing, at, n=100):
+    """``synthetic(failing, n=n)``, whose generation raises when it comes to
+    instance ``at``."""
+    for i, found in enumerate(synthetic(failing, n=n)):
+        if i == at:
+            raise TreeError(f"stream raised at {at}")
+        yield found
+
+
+# The stream raises after the serial stop: at instance 58, the one after
+# it, which children that do not scan instance 57's chunk still walk into,
+# or at 70.
+@pytest.mark.parametrize("at", [58, 70])
+@pytest.mark.parametrize("shards", [2, 3, 5])
+def test_a_stream_raising_after_the_stop_keeps_the_serial_report(monkeypatch, at, shards):
+    monkeypatch.setattr(verify, "_CHUNK", 4)
+    serial = verify._run("x", stream_raising(SPREAD, at), shard=False)
+    assert (serial.instances, serial.failure_count, serial.counterexamples) == (
+        58, 26, ("0.0", "3.0", "6.0")
+    )
+    with_cpus(monkeypatch, shards)
+    assert stripped(verify._run("x", stream_raising(SPREAD, at))) == stripped(serial)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+def test_a_stream_raising_before_the_stop_is_raised(monkeypatch, shards):
+    monkeypatch.setattr(verify, "_CHUNK", 4)
+    with pytest.raises(TreeError, match="^stream raised at 41$"):
+        verify._run("x", stream_raising(SPREAD, 41), shard=False)
+    with_cpus(monkeypatch, shards)
+    with pytest.raises(TreeError, match="^stream raised at 41$"):
+        verify._run("x", stream_raising(SPREAD, 41))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, pulled", [(1, 100), (2, 0), (3, 0)])
+def test_the_parent_pulls_no_instance_when_sharded(monkeypatch, cpus, pulled):
+    # Forked children walk their own copies of the stream, so the parent's
+    # count of the instances pulled stays 0.
+    pulls = []
+
+    def counted(stream):
+        for found in stream:
+            pulls.append(None)
+            yield found
+
+    with_cpus(monkeypatch, cpus)
+    report = verify._run("x", counted(synthetic({99: 1})))
+    assert (report.instances, report.failure_count, len(pulls)) == (100, 1, pulled)
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize(
     "failing, raising",
     [

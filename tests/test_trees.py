@@ -27,7 +27,7 @@ from graftop import (
     strip_labels,
     weight,
 )
-from graftop.trees import _LABEL_CHARS, _is_label
+from graftop.trees import _LABEL_CHARS, _is_label, _tree_of_parents
 from graftop.verify import Universe, _decrement_at, _delete_at
 
 CAYLEY = {1: 1, 2: 2, 3: 9, 4: 64, 5: 625, 6: 7776}
@@ -325,6 +325,66 @@ def test_labeled_enumeration_rejects_bad_weights_and_labels():
         enumerate_labeled_trees(2, [1])
     with pytest.raises(ValueError, match="^labels must be n distinct strings$"):
         enumerate_labeled_trees(2, [1, 1], ["a", "a"])
+
+
+def labeled_trees_validated(n, weights, labels=None):
+    """Reference: the labeled enumeration with every tree built by the
+    validating constructor, each parent map found by the same walk."""
+    labels = [str(i + 1) for i in range(n)] if labels is None else list(labels)
+    weight_of = dict(zip(labels, weights))
+    out = []
+    for root in range(n):
+        others = [i for i in range(n) if i != root]
+        for choice in itertools.product(range(n), repeat=n - 1):
+            parent = [*choice[:root], root, *choice[root:]]
+            for start in others:
+                cur = start
+                for _ in range(n):
+                    cur = parent[cur]
+                if cur != root:
+                    break
+            else:
+                parents = {labels[root]: None}
+                parents.update((labels[c], labels[p]) for c, p in enumerate(parent) if c != root)
+                out.append(_tree_of_parents(parents, weight_of))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, weights, labels",
+    [(n, [1] * n, None) for n in range(1, 6)]
+    + [
+        (3, [5, 1, 2], None),
+        (4, [2, 1, 3, 1], ["d", "c", "b", "a"]),
+        (5, [1, 3, 1, 2, 2], ["x10", "x9", "y", "_1", "Z"]),
+        (1, [4], ["_"]),
+    ],
+)
+def test_labeled_enumeration_is_unchanged(n, weights, labels):
+    trees = enumerate_labeled_trees(n, weights, labels)
+    assert [t.encoding for t in trees] == [t.encoding for t in labeled_trees_validated(n, weights, labels)]
+    for t in trees:
+        assert_matches_validated(t)
+
+
+@pytest.mark.parametrize(
+    "n, weights, labels",
+    [
+        (3, [1, 0, 2], None),
+        (3, [True, 1, 1], None),
+        (3, [1, 2, 3], ["a", "b-", "c"]),
+        (3, [0, 1, 1], ["a", "b", "c-"]),  # vertex 2's label is checked before vertex 0's weight
+        (2, [1, 1], ["_", "a"]),
+        (2, [1, 1], ["a", "_"]),
+        (2, [1, 1], [1, 2]),
+    ],
+)
+def test_labeled_enumeration_rejects_as_the_validated_build(n, weights, labels):
+    with pytest.raises(TreeError) as want:
+        labeled_trees_validated(n, weights, labels)
+    with pytest.raises(TreeError) as got:
+        enumerate_labeled_trees(n, weights, labels)
+    assert str(got.value) == str(want.value)
 
 
 # --- relabel / reweight ----------------------------------------------------------

@@ -1,20 +1,27 @@
 """Verification harness: universes, reports, oracles, shrinking, faults."""
 
+import itertools
 import json
+import tracemalloc
+from collections import Counter
 
 import pytest
 
 from graftop import (
     LambdaPoly,
     TreeCombination,
+    TreeError,
     WeightedTree,
     arrow_lambda,
     compose_lambda,
+    enumerate_labeled_trees,
     nap_compose,
     parse_tree,
     psi,
+    reweight,
     verify,
 )
+from graftop.operad import GraftMap
 from graftop.verify import (
     CheckReport,
     Universe,
@@ -36,6 +43,7 @@ from graftop.verify import (
     tree_shape,
     shape_tree,
 )
+from test_trees import assert_matches_validated
 
 SMALL = Universe(2, 2)
 TRIPLE = Universe(3, 2)
@@ -46,6 +54,59 @@ def test_universe_counts_match_cayley_times_weights():
     trees = Universe(3, 2).trees("a")
     assert len(trees) == 1 * 2 + 2 * 4 + 9 * 8
     assert len(set(trees)) == len(trees)
+
+
+def universe_trees_by_reweighting(universe, prefix):
+    """Reference: every weight vector applied to every all-1 labeled shape
+    through ``reweight``, by size, then by weight vector, then by shape."""
+    out = []
+    for n in range(1, universe.n_max + 1):
+        labels = [f"{prefix}{i + 1}" for i in range(n)]
+        shapes = enumerate_labeled_trees(n, [1] * n, labels)
+        for vec in itertools.product(range(1, universe.w_max + 1), repeat=n):
+            assignment = dict(zip(labels, vec))
+            out.extend(reweight(shape, assignment) for shape in shapes)
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "universe", [Universe(n, w) for n in range(1, 5) for w in range(1, 4)] + [Universe(5, 1)]
+)
+def test_universe_trees_equal_the_reweighted_shapes(universe):
+    for prefix in ("a", "q7_"):
+        trees = universe.trees(prefix)
+        assert [t.encoding for t in trees] == [
+            t.encoding for t in universe_trees_by_reweighting(universe, prefix)
+        ]
+        for t in trees[:: max(1, len(trees) // 40)]:
+            assert_matches_validated(t)
+
+
+@pytest.mark.parametrize("universe", [Universe(1, 1), Universe(3, 2)])
+@pytest.mark.parametrize("prefix", ["a-", " ", "x:"])
+def test_universe_rejects_a_bad_prefix_as_before(universe, prefix):
+    with pytest.raises(TreeError) as want:
+        universe_trees_by_reweighting(universe, prefix)
+    with pytest.raises(TreeError) as got:
+        universe.trees(prefix)
+    assert str(got.value) == str(want.value) == f"invalid label {prefix + '1'!r}"
+
+
+def test_universe_builds_no_shape_copies():
+    # Built straight from parent maps, Universe(5, 1) peaks at about 0.74 MB
+    # traced; built as validated shapes copied through reweight, at 2.04 MB.
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        trees = Universe(5, 1).trees("fresh")  # a prefix no other test builds
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(trees) == 1 + 2 + 9 + 64 + 625
+    assert peak < 1_000_000, peak
 
 
 def test_universe_unlabeled_counts():
@@ -240,6 +301,20 @@ def _lifted_psi(x, branch_order=None):
     return combo * LambdaPoly.monomial(1) if branch_order and branch_order[0] else combo
 
 
+class _DeepestRootMap(GraftMap):
+    """A GraftMap whose root map sends every edge to a deepest vertex of T."""
+
+    @classmethod
+    def root_map(cls, S, v, T):
+        deepest = max(T.vertices(), key=lambda r: r.height)
+        return cls((deepest,) * len(v.node.children))
+
+
+def _root_graft_counts(t, s):
+    """oracle_graft_counts grafting s at the root of t only."""
+    return Counter([(t[0], tuple(sorted(t[1] + (s,))))])
+
+
 # A bug in one operation that a clean check's failure description, which no
 # fault gate reaches, catches: the operation patched into verify, its
 # replacement, the check, its universe and keyword arguments, and the
@@ -256,6 +331,9 @@ CLEAN_CHECK_BUGS = [
      224, 8, "graft vs oracle "),
     ("psi", _lifted_psi, check_roundtrip_psi_phi, Universe(3, 1), {}, 12, 3,
      "branch order (1, 0) "),
+    ("GraftMap", _DeepestRootMap, check_minimality, SMALL, {}, 36, 8, "negative exponent "),
+    ("oracle_graft_counts", _root_graft_counts, check_deformed_identity, SMALL, {}, 224, 8,
+     "oracle identity "),
 ]
 
 
