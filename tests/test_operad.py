@@ -192,7 +192,7 @@ def test_compose_matches_parent_map_oracle_and_constructor_energies():
     cases = 0
     for S, v, T in _oracle_compose_cases():
         combo = compose_lambda(S, v, T)
-        terms = oracle_compose_terms(S, v.label, T)
+        terms = list(oracle_compose_terms(S, v.label, T))
         assert combo.support() == set(terms)
         d0 = oracle_compose_root(S, v.label, T).energy
         for term in terms:
@@ -826,24 +826,45 @@ def test_arrow_coefficients_sum_to_the_depth_closed_form(data):
     assert _coefficient_sum(arrow_lambda(T, S)) == _depth_sum(T, S.total_weight)
 
 
-@settings(deadline=None)
-@given(st.data())
-def test_compose_coefficients_sum_to_the_product_closed_form(data):
-    draw = data.draw
+def _random_slot(draw):
+    """A random host S with a slot ``v`` of 0 to 5 branches, and a random T
+    of v's weight: |T|**k terms, at most 30 vertices in T, and about 1,000
+    terms."""
     k = draw(st.integers(0, 5))
-    # |T|**k terms: at most 30 vertices in T, and about 1,000 terms
     T = _random_tree(draw, "t", draw(st.integers(1, min(30, round(1000 ** (1 / k))) if k else 30)))
     branches = [_random_tree(draw, f"b{i}x", draw(st.integers(1, 4))) for i in range(k)]
     v = WeightedTree("v", T.total_weight, tuple(branches))
     if draw(st.booleans()):
-        S = v
-    else:
-        n = draw(st.integers(1, 10))
-        S = _random_tree(draw, "s", n, {draw(st.integers(0, n - 1)): (v,)})
+        return v, T
+    n = draw(st.integers(1, 10))
+    return _random_tree(draw, "s", n, {draw(st.integers(0, n - 1)): (v,)}), T
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_compose_coefficients_sum_to_the_product_closed_form(data):
+    S, T = _random_slot(data.draw)
+    v = S.ref("v")
     expected = LambdaPoly.one()
-    for b in branches:
+    for b in v.node.children:
         expected = expected * _depth_sum(T, b.total_weight)
-    assert _coefficient_sum(compose_lambda(S, S.ref("v"), T)) == expected
+    assert _coefficient_sum(compose_lambda(S, v, T)) == expected
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_compose_terms_carry_their_energy_above_the_root_map(data):
+    # Per term: coefficient exactly L**(E(t) - E0), E0 the energy of the
+    # root-map term, one term per map, and the oracle's support.  The oracle
+    # builds every term as a validated tree, so this draws fewer cases than
+    # the closed forms above.
+    S, T = _random_slot(data.draw)
+    v = S.ref("v")
+    combo = compose_lambda(S, v, T)
+    e0 = oracle_compose_root(S, "v", T).energy
+    assert len(combo) == T.size ** len(v.node.children)
+    assert all(coeff == mono(term.energy - e0) for term, coeff in combo.terms())
+    assert combo.support() == set(oracle_compose_terms(S, "v", T))
 
 
 # --- rejections -------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import json
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,7 @@ from graftop import (
     verify,
 )
 from graftop.operad import GraftMap
+from graftop.trees import _tree_of_parents
 from graftop.verify import (
     CheckReport,
     Universe,
@@ -43,6 +45,7 @@ from graftop.verify import (
     tree_shape,
     shape_tree,
 )
+from test_operad import _oracle_compose_cases
 from test_trees import assert_matches_validated
 
 SMALL = Universe(2, 2)
@@ -92,19 +95,25 @@ def test_universe_rejects_a_bad_prefix_as_before(universe, prefix):
     assert str(got.value) == str(want.value) == f"invalid label {prefix + '1'!r}"
 
 
-def test_universe_builds_no_shape_copies():
-    # Built straight from parent maps, Universe(5, 1) peaks at about 0.74 MB
-    # traced; built as validated shapes copied through reweight, at 2.04 MB.
+def traced_peak(run):
+    """``run()``'s result and the peak of the memory it traced above what
+    was traced when it started."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        trees = Universe(5, 1).trees("fresh")  # a prefix no other test builds
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_universe_builds_no_shape_copies():
+    # Built straight from parent maps, Universe(5, 1) peaks at about 0.74 MB
+    # traced; built as validated shapes copied through reweight, at 2.04 MB.
+    trees, peak = traced_peak(lambda: Universe(5, 1).trees("fresh"))  # a prefix no other test builds
     assert len(trees) == 1 + 2 + 9 + 64 + 625
     assert peak < 1_000_000, peak
 
@@ -116,7 +125,7 @@ def test_universe_unlabeled_counts():
 def test_oracle_composer_agrees_on_reference_instance():
     S = parse_tree("a:1[b:3[c:2,d:1]]")
     T = parse_tree("e:2[h:1]")
-    terms = oracle_compose_terms(S, "b", T)
+    terms = list(oracle_compose_terms(S, "b", T))
     assert len(terms) == 4
     assert oracle_compose_root(S, "b", T) == parse_tree("a:1[e:2[c:2,d:1,h:1]]")
     assert parse_tree("a:1[e:2[h:1[c:2,d:1]]]") in terms
@@ -133,6 +142,46 @@ def test_oracle_composer_on_deep_host_does_not_recurse():
     combo = compose_lambda(S, S.ref(f"s{n - 1}"), T)
     assert sorted(oracle_compose_terms(S, f"s{n - 1}", T), key=str) == sorted(combo.support(), key=str)
     assert oracle_compose_root(S, f"s{n - 1}", T) == nap_compose(S, S.ref(f"s{n - 1}"), T)
+
+
+def oracle_substitutions_as_list(S, v_label, T, root_only):
+    """Reference: the parent-map oracle as it was before it streamed, every
+    substitution built as a validated tree and kept in a list."""
+    sp, sw = verify._parent_map(S)
+    tp, tw = verify._parent_map(T)
+    targets = [lab for lab, par in tp.items() if par is None] if root_only else sorted(tp)
+    moved = sorted(lab for lab, par in sp.items() if par == v_label)
+    base = {lab: par for lab, par in sp.items() if lab != v_label}
+    weights = {lab: w for lab, w in sw.items() if lab != v_label}
+    for lab, par in tp.items():
+        base[lab] = par if par is not None else sp[v_label]
+        weights[lab] = tw[lab]
+    out = []
+    for assignment in itertools.product(targets, repeat=len(moved)):
+        parents = dict(base)
+        parents.update(zip(moved, assignment))
+        out.append(_tree_of_parents(parents, weights))
+    return out
+
+
+def test_oracle_stream_yields_the_listed_trees_in_order():
+    cases = 0
+    for S, v, T in itertools.chain(verify._slots(TRIPLE), _oracle_compose_cases()):
+        listed = oracle_substitutions_as_list(S, v.label, T, False)
+        assert list(oracle_compose_terms(S, v.label, T)) == listed
+        assert oracle_compose_root(S, v.label, T) == oracle_substitutions_as_list(S, v.label, T, True)[0]
+        cases += 1
+    assert cases > 1000
+
+
+def test_oracle_stream_holds_one_substitution_at_a_time():
+    # The CI's five-branch composition, 6**5 substitutions: listed, they
+    # peaked at about 50 MB traced.
+    S = parse_tree("r:1[v:7[b1:1,b2:2[c:1],b3:1,b4:3,b5:1]]")
+    T = parse_tree("x:2[y:1[z:1],w:1[q:1],p:1]")
+    count, peak = traced_peak(lambda: sum(1 for _ in oracle_compose_terms(S, "v", T)))
+    assert count == 7776
+    assert peak < 1_000_000, peak
 
 
 def test_shape_conversions_roundtrip():
@@ -273,11 +322,17 @@ FAULT_REPORTS = [
 
 
 @pytest.mark.parametrize("check, universe, kwargs, instances, failures, examples", FAULT_REPORTS)
-def test_fault_reports(check, universe, kwargs, instances, failures, examples):
+def test_fault_reports(monkeypatch, check, universe, kwargs, instances, failures, examples):
+    # Only the counterexamples a report shows are shrunk; shrinking every
+    # failure took 25 shrinks in each gate that checks a law.
+    shrunk = []
+    shrink = verify.shrink_instance
+    monkeypatch.setattr(verify, "shrink_instance", lambda *args: shrunk.append(args) or shrink(*args))
     report = check(universe, fault=True, **kwargs)
     assert (report.instances, report.failure_count, report.counterexamples) == (
         instances, failures, examples
     )
+    assert len(shrunk) <= len(examples)
 
 
 def _without_top_term(S, v, T):
@@ -349,6 +404,73 @@ def test_clean_checks_catch_a_bug_no_fault_gate_injects(
     report = check(universe, **kwargs)
     assert (report.instances, report.failure_count) == (instances, failures)
     assert report.counterexamples[0].startswith(prefix), report.counterexamples
+
+
+def _one_weight_raised(S, v, T):
+    """compose_lambda with the root weight of its last term raised by 1."""
+    terms = compose_lambda(S, v, T).terms()
+    last, coeff = terms[-1]
+    return TreeCombination(terms[:-1] + [(WeightedTree(last.label, last.weight + 1, last.children), coeff)])
+
+
+def specializations_by_trees(universe, fault=False):
+    """Reference: check_specializations as it was before it compared parent
+    maps, the oracle's substitutions summed into combinations of trees."""
+    compose = verify._faulty_compose(1, lambda S: 1) if fault else verify.compose_lambda
+
+    def failures(S, T, v):
+        Sg = reweight(S, {lab: (T.total_weight if lab == v.label else 1) for lab in S.labels})
+        vg = Sg.ref(v.label)
+        full = compose(Sg, vg, T)
+        at_zero = full.specialize(Fraction(0))
+        if at_zero != TreeCombination.of(oracle_substitutions_as_list(Sg, v.label, T, True)[0]):
+            yield f"parameter-0 S={Sg.encoding} v={v.label} T={T.encoding}"
+        if at_zero and next(iter(at_zero._terms)) != verify.nap_compose(Sg, vg, T):
+            yield f"root-only composition S={Sg.encoding} v={v.label} T={T.encoding}"
+        at_one = full.specialize(Fraction(1))
+        terms = oracle_substitutions_as_list(Sg, v.label, T, False)
+        if at_one != TreeCombination((term, 1) for term in terms):
+            yield f"parameter-1 S={Sg.encoding} v={v.label} T={T.encoding}"
+
+    def weighted_failures(S, v, T):
+        at_zero = verify.compose_lambda(S, v, T).specialize(Fraction(0))
+        if at_zero != TreeCombination.of(verify.nap_compose(S, v, T)):
+            yield f"weighted parameter-0 S={S.encoding} v={v.label} T={T.encoding}"
+
+    stream = itertools.starmap(failures, verify._shape_slots(universe))
+    if not fault:
+        stream = itertools.chain(stream, itertools.starmap(weighted_failures, verify._slots(universe)))
+    return verify._run("specializations", stream, shard=not fault)
+
+
+# Each bug of CLEAN_CHECK_BUGS, a production term with one vertex weight
+# changed, which only the comparison of vertex sets shows, and doubled
+# coefficients, which only the coefficient comparison shows; with the prefix
+# of a description the clean run must give, where one is pinned.
+SPECIALIZATION_BUGS = [
+    pytest.param(operation, bug, None, id=f"{check.__name__}-{operation}")
+    for operation, bug, check, *_ in CLEAN_CHECK_BUGS
+] + [
+    pytest.param("compose_lambda", _one_weight_raised, "parameter-1 ", id="one-weight-raised"),
+    pytest.param("compose_lambda", lambda S, v, T: compose_lambda(S, v, T) * 2, "parameter-1 ",
+                 id="doubled"),
+]
+
+
+@pytest.mark.parametrize("operation, bug, prefix", SPECIALIZATION_BUGS)
+def test_specializations_describe_what_the_tree_comparison_did(monkeypatch, operation, bug, prefix):
+    monkeypatch.setattr(verify, operation, bug)
+    # every description of the run in the report, not only the first three
+    monkeypatch.setattr(verify, "_EXAMPLE_CAP", 10**6)
+    monkeypatch.setattr(verify, "_FAILURE_SCAN_CAP", 10**6)
+    for fault in (False, True):
+        want = specializations_by_trees(SMALL, fault)
+        got = check_specializations(SMALL, fault=fault)
+        assert (got.instances, got.failure_count, got.counterexamples) == (
+            want.instances, want.failure_count, want.counterexamples
+        ), fault
+        if prefix and not fault:
+            assert any(d.startswith(prefix) for d in want.counterexamples), want.counterexamples
 
 
 def test_clean_suite_instance_counts():
