@@ -2,12 +2,12 @@
 
 The partial composition substitutes a tree T for a vertex v of a host S
 whose weight matches T's total weight, then sums over every way of
-reattaching v's child branches to vertices of T.  Each reattachment map is
-weighted by the deformation parameter raised to the potential-energy
-excess over the all-at-the-root map, so the parameter measures how far
-below the graft point the branches sink.  Setting the parameter to 0
-keeps only the root reattachment; setting it to 1 flattens all the
-coefficients to 1.
+reattaching v's child branches to vertices of T.  Each term t is weighted
+by the deformation parameter raised to E(t) - E(S) - E(T), the potential
+energy the reattachment adds: the height-weighted sum of the branches'
+total weights, so the parameter measures how far below the graft point
+the branches sink.  Setting the parameter to 0 keeps only the root
+reattachment; setting it to 1 flattens all the coefficients to 1.
 """
 
 from __future__ import annotations
@@ -114,46 +114,41 @@ def _graft(tree: WeightedTree, path: tuple, node: WeightedTree, *branches) -> We
 
 def _placements(x: WeightedTree, hung: tuple, memo: dict) -> list:
     """Every way to hang the branches ``hung`` below the vertices of ``x``,
-    one each, as ``(tree, excess)`` pairs: the branches are distributed
-    among x and its children, each child recursing with its share, and a
-    branch sent one level down adds its total weight to the excess.
-    Memoized in ``memo`` for one call on the identities of x and the
-    branches, read first, so each distinct rebuilt subtree is one object
-    and a subtree that receives no branch is x's own.  Recurses once per
-    level of ``x``, and has ``_graft``'s precondition.
+    one each: the branches are distributed among x and its children, each
+    child recursing with its share.  Memoized in ``memo`` for one call on
+    the identities of x and the branches, read first, so each distinct
+    rebuilt subtree is one object and a subtree that receives no branch is
+    x's own.  Recurses once per level of ``x``, and has ``_graft``'s
+    precondition.
 
     A share is a bitmask over ``hung``.  The children are folded in one at
     a time: after each, ``partial`` maps the mask of the branches sent
-    below so far to the ``(child trees, excess)`` rows that send them; the
-    branches outside the final mask stay at x."""
+    below so far to the tuples of child trees that send them; the branches
+    outside the final mask stay at x."""
     key = (id(x), *map(id, hung))
     if key in memo:
         return memo[key]
     kids = x.children
     if not kids:
-        out = [(WeightedTree._node(x.label, x.weight, hung), 0)]
+        out = [WeightedTree._node(x.label, x.weight, hung)]
     else:
-        shares, sunk = [()], [0]  # per mask: its branches in order, their total weight
+        shares = [()]  # per mask: its branches in order
         for branch in hung:
             shares += [s + (branch,) for s in shares]
-            sunk += [w + branch.total_weight for w in sunk]
         full = len(shares) - 1
-        partial = {0: [((), 0)]}
+        partial = {0: [()]}
         for kid in kids:
             folded: dict[int, list] = {}
-            below = {0: ((kid, 0),)}  # per share: the kid's placements of it, sunk weight included
+            below = {0: (kid,)}  # per share: the kid's placements of it
             for sent, rows in partial.items():
                 free = full ^ sent
                 share = free
                 while True:  # every share of the free branches, the empty one last
                     placed = below.get(share)
                     if placed is None:
-                        w = sunk[share]
-                        placed = below[share] = [
-                            (t, w + e) for t, e in _placements(kid, shares[share], memo)
-                        ]
+                        placed = below[share] = _placements(kid, shares[share], memo)
                     folded.setdefault(sent | share, []).extend(
-                        [(trees + (t,), e + f) for trees, e in rows for t, f in placed]
+                        [trees + (t,) for trees in rows for t in placed]
                     )
                     if not share:
                         break
@@ -162,9 +157,9 @@ def _placements(x: WeightedTree, hung: tuple, memo: dict) -> list:
         node = WeightedTree._node
         label, weight = x.label, x.weight
         out = [
-            (node(label, weight, trees + shares[full ^ sent]), e)
+            node(label, weight, trees + shares[full ^ sent])
             for sent, rows in partial.items()
-            for trees, e in rows
+            for trees in rows
         ]
     memo[key] = out
     return out
@@ -217,11 +212,11 @@ def compose_lambda(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombin
     """Graded partial composition of T into vertex v of S.
 
     Zero when T's total weight differs from v's weight.  Otherwise one
-    term per reattachment map; the term for map f carries coefficient
-    L**(d_f - d_min) where d_f is the potential energy of the f-tree and
-    d_min that of the all-at-the-root tree, which is the minimum.  The
-    excess is the sum, over v's child branches, of the height of the
-    branch's target in T times the branch's total weight.
+    term per reattachment map; the term t carries coefficient
+    L**(E(t) - E(S) - E(T)), E the potential energy.  T's root takes v's
+    height, so E(S) + E(T) is the energy of the all-at-the-root term, the
+    minimum, and the exponent is the sum, over v's child branches, of the
+    height of the branch's target in T times the branch's total weight.
 
     Base cases: with no branch T itself is inserted, and one branch is
     grafted at each vertex of T by ``_graft``; two or more go through
@@ -234,15 +229,17 @@ def compose_lambda(S: WeightedTree, v: VertexRef, T: WeightedTree) -> TreeCombin
         return TreeCombination.zero()
     branches = node.children
     if not branches:
-        placed = ((T, 0),)
+        placed = (T,)
     elif len(branches) == 1:
         b = branches[0]
-        placed = [(_graft(T, path, x, b), b.total_weight * len(path)) for path, x in T.walk()]
+        placed = [_graft(T, path, x, b) for path, x in T.walk()]
     else:
         placed = _placements(T, branches, {})
+    base = S.energy + T.energy
+    terms = (_respine(spine, tree) for tree in placed)
     # Distinct maps give each moved branch root a distinct parent label, so
     # the terms never collide.
-    return TreeCombination._raw({_respine(spine, tree): monomial(excess) for tree, excess in placed})
+    return TreeCombination._raw({t: monomial(t.energy - base) for t in terms})
 
 
 def _as_combination(x) -> TreeCombination:

@@ -40,7 +40,6 @@ from .operad import (
 )
 from .presentation import _evaluate, phi, psi
 from .trees import (
-    UNLABELED,
     WeightedTree,
     _check_label,
     _parent_maps,
@@ -316,11 +315,11 @@ def _parent_map(tree: WeightedTree):
     return parents, weights
 
 
-def _oracle_substitutions(S: WeightedTree, v_label: str, T: WeightedTree, root_only: bool):
+def _oracle_substitutions(s_map, v_label: str, t_map, root_only: bool):
     """The ``(parents, weights)`` maps of ``oracle_compose_terms``, one per
-    reattachment and in its order; ``root_only`` reattaches at T's root alone."""
-    sp, sw = _parent_map(S)
-    tp, tw = _parent_map(T)
+    reattachment and in its order, from the ``_parent_map`` of S and of T;
+    ``root_only`` reattaches at T's root alone."""
+    (sp, sw), (tp, tw) = s_map, t_map
     targets = [lab for lab, par in tp.items() if par is None] if root_only else sorted(tp)
     moved = sorted(lab for lab, par in sp.items() if par == v_label)
     base = {lab: par for lab, par in sp.items() if lab != v_label}
@@ -338,19 +337,21 @@ def oracle_compose_terms(S: WeightedTree, v_label: str, T: WeightedTree) -> Iter
     """All substitution results of T for the vertex v_label of S, one per
     reattachment of v's children, by direct parent-map surgery; a lazy
     stream that builds each tree, validated, only when it is reached."""
-    return itertools.starmap(_tree_of_parents, _oracle_substitutions(S, v_label, T, False))
+    maps = _oracle_substitutions(_parent_map(S), v_label, _parent_map(T), False)
+    return itertools.starmap(_tree_of_parents, maps)
 
 
 def oracle_compose_root(S: WeightedTree, v_label: str, T: WeightedTree) -> WeightedTree:
     """The substitution that reattaches every moved branch at T's root."""
-    return _tree_of_parents(*next(_oracle_substitutions(S, v_label, T, True)))
+    maps = _oracle_substitutions(_parent_map(S), v_label, _parent_map(T), True)
+    return _tree_of_parents(*next(maps))
 
 
-def _matches_oracle(combo: TreeCombination, S, v_label: str, T, root_only: bool) -> bool:
+def _matches_oracle(combo: TreeCombination, s_map, v_label: str, t_map, root_only: bool) -> bool:
     """Whether ``combo`` is the sum, each with coefficient 1, of the oracle's
     substitutions, compared as sets of ``(label, parent, weight)``."""
     vertex_sets = lambda maps: {frozenset(zip(p, p.values(), map(w.__getitem__, p))) for p, w in maps}
-    want = vertex_sets(_oracle_substitutions(S, v_label, T, root_only))
+    want = vertex_sets(_oracle_substitutions(s_map, v_label, t_map, root_only))
     if len(combo) != len(want) or any(c != 1 for c in combo._terms.values()):
         return False
     return vertex_sets(map(_parent_map, combo._terms)) == want
@@ -361,10 +362,6 @@ Shape = tuple  # (weight, tuple of child shapes), recursively
 
 def tree_shape(tree: WeightedTree) -> Shape:
     return (tree.weight, tuple(sorted(tree_shape(c) for c in tree.children)))
-
-
-def shape_tree(shape: Shape) -> WeightedTree:
-    return WeightedTree(UNLABELED, shape[0], tuple(shape_tree(c) for c in shape[1]))
 
 
 def oracle_graft_counts(t: Shape, s: Shape) -> Counter:
@@ -690,12 +687,13 @@ def check_specializations(universe: Universe | None = None, fault: bool = False)
         )
         vg = Sg.ref(v.label)
         full = compose(Sg, vg, T)
+        s_map, t_map = _parent_map(Sg), _parent_map(T)
         at_zero = full.specialize(Fraction(0))
-        if not _matches_oracle(at_zero, Sg, v.label, T, True):
+        if not _matches_oracle(at_zero, s_map, v.label, t_map, True):
             yield f"parameter-0 S={Sg.encoding} v={v.label} T={T.encoding}"
         if at_zero and next(iter(at_zero._terms)) != nap_compose(Sg, vg, T):
             yield f"root-only composition S={Sg.encoding} v={v.label} T={T.encoding}"
-        if not _matches_oracle(full.specialize(Fraction(1)), Sg, v.label, T, False):
+        if not _matches_oracle(full.specialize(Fraction(1)), s_map, v.label, t_map, False):
             yield f"parameter-1 S={Sg.encoding} v={v.label} T={T.encoding}"
 
     def weighted_failures(S, v, T):

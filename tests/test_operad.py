@@ -38,7 +38,14 @@ from graftop import (
     unit,
 )
 from graftop.operad import _compositions, _fresh_label
-from graftop.verify import Universe, oracle_compose_root, oracle_compose_terms
+from graftop.trees import _tree_of_parents
+from graftop.verify import (
+    Universe,
+    _oracle_substitutions,
+    _parent_map,
+    oracle_compose_root,
+    oracle_compose_terms,
+)
 
 S_EX = parse_tree("a:1[b:3[c:2,d:1]]")
 T_EX = parse_tree("e:2[h:1]")
@@ -187,8 +194,10 @@ def _oracle_compose_cases():
 
 
 def test_compose_matches_parent_map_oracle_and_constructor_energies():
-    # Terms come from the parent-map oracle and exponents from energies the
-    # tree constructor computes, not from the closed form compose_lambda uses.
+    # Terms come from the parent-map oracle, and exponents from the energies
+    # the validating constructor gives the oracle's trees, above the oracle's
+    # root-map term.  compose_lambda applies the same energy rule, so
+    # criterion 2's height-weighted branch sum is the independent check.
     cases = 0
     for S, v, T in _oracle_compose_cases():
         combo = compose_lambda(S, v, T)
@@ -855,16 +864,27 @@ def test_compose_coefficients_sum_to_the_product_closed_form(data):
 @given(st.data())
 def test_compose_terms_carry_their_energy_above_the_root_map(data):
     # Per term: coefficient exactly L**(E(t) - E0), E0 the energy of the
-    # root-map term, one term per map, and the oracle's support.  The oracle
-    # builds every term as a validated tree, so this draws fewer cases than
-    # the closed forms above.
+    # root-map term, one term per map, and the oracle's support.  Each
+    # exponent is also criterion 2's height-weighted branch sum, read off
+    # the oracle's parent maps: the total weight of every moved branch times
+    # the height in T of its new parent.  The oracle builds every term as a
+    # validated tree, so this draws fewer cases than the closed forms above.
     S, T = _random_slot(data.draw)
     v = S.ref("v")
     combo = compose_lambda(S, v, T)
     e0 = oracle_compose_root(S, "v", T).energy
+    assert e0 == S.energy + T.energy
     assert len(combo) == T.size ** len(v.node.children)
     assert all(coeff == mono(term.energy - e0) for term, coeff in combo.terms())
-    assert combo.support() == set(oracle_compose_terms(S, "v", T))
+    t_map = _parent_map(T)
+    height = lambda lab: 0 if t_map[0][lab] is None else 1 + height(t_map[0][lab])
+    terms = set()
+    for parents, weights in _oracle_substitutions(_parent_map(S), "v", t_map, False):
+        term = _tree_of_parents(parents, weights)
+        exponent = sum(b.total_weight * height(parents[b.label]) for b in v.node.children)
+        assert combo.coefficient(term) == mono(exponent)
+        terms.add(term)
+    assert combo.support() == terms
 
 
 # --- rejections -------------------------------------------------------------------

@@ -43,7 +43,6 @@ from graftop.verify import (
     run_suite,
     shrink_instance,
     tree_shape,
-    shape_tree,
 )
 from test_operad import _oracle_compose_cases
 from test_trees import assert_matches_validated
@@ -182,11 +181,6 @@ def test_oracle_stream_holds_one_substitution_at_a_time():
     count, peak = traced_peak(lambda: sum(1 for _ in oracle_compose_terms(S, "v", T)))
     assert count == 7776
     assert peak < 1_000_000, peak
-
-
-def test_shape_conversions_roundtrip():
-    t = parse_tree("_:1[_:2[_:1],_:3]")
-    assert shape_tree(tree_shape(t)) == t
 
 
 def test_oracle_graft_counts_symmetric_host():
