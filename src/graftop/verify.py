@@ -64,16 +64,28 @@ class Universe:
     @lru_cache(maxsize=None)
     def trees(self, prefix: str = "a") -> tuple[WeightedTree, ...]:
         """Every labeled tree, vertices labeled ``prefix1``, ``prefix2``, ...,
-        by size, then weight vector, then ``enumerate_labeled_trees``'s order."""
+        by size, then weight vector, then ``enumerate_labeled_trees``'s order.
+        Equal subtrees are one object, known by its label, its weight and
+        its children's identities, which ``_tree_of_parents`` passes in
+        label order."""
         labels = [f"{prefix}{i + 1}" for i in range(self.n_max)]
         for label in labels:
             _check_label(label)
+        nodes: dict = {}
+
+        def make(label, weight, kids):
+            key = (label, weight, *map(id, kids))
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = WeightedTree._node(label, weight, kids)
+            return node
+
         out = []
         for n in range(1, self.n_max + 1):
             maps = list(_parent_maps(labels[:n]))
             for vec in itertools.product(range(1, self.w_max + 1), repeat=n):
                 weights = dict(zip(labels, vec))
-                out.extend(_tree_of_parents(parents, weights, WeightedTree._node) for parents in maps)
+                out.extend(_tree_of_parents(parents, weights, make) for parents in maps)
         return tuple(out)
 
     def shapes(self, prefix: str = "a") -> tuple[WeightedTree, ...]:
@@ -142,16 +154,23 @@ def _run(name: str, instances, shard: bool = True) -> CheckReport:
     first ``_EXAMPLE_CAP`` descriptions and stops after the instance that
     brings the failure count to ``_FAILURE_SCAN_CAP``.
 
-    With ``shard`` set, forked children, one per available CPU, each walk
-    their own copy of the stream and scan their share of its chunks of
-    ``_CHUNK`` instances, while the parent pulls no instance and only
-    merges; the report is the in-process scan's apart from ``seconds``.
-    The scan stays in-process with one CPU, without ``os.fork``, or while
-    another thread is alive.  A fault gate passes ``shard=False``: it stops
-    within a few dozen instances, while every child would scan on to its
-    own cap."""
+    With ``shard`` set, the parent pulls the first ``_CHUNK`` instances per
+    available CPU, unscanned; if the stream goes on past them, forked
+    children, one per CPU, each walk their own copy of the pulled
+    instances and the rest of the stream and scan their share of its
+    chunks of ``_CHUNK`` instances, while the parent only merges.  The
+    report is the in-process scan's apart from ``seconds``.  The scan stays
+    in-process with one CPU, without ``os.fork``, while another thread is
+    alive, or on a stream that ends, or raises, among the pulled instances.
+    A fault gate passes ``shard=False``: it stops within a few dozen
+    instances, while every child would scan on to its own cap."""
     start = time.perf_counter()
     shards = _cpus() if shard and hasattr(os, "fork") and threading.active_count() == 1 else 1
+    if shards > 1:
+        head, rest = _pull(instances, shards * _CHUNK)
+        instances = itertools.chain(head, rest)
+        if len(head) < shards * _CHUNK:
+            shards = 1
     records = _forked(instances, shards) if shards > 1 else _scan(instances)
     count = failures = 0
     examples: list[str] = []
@@ -167,6 +186,25 @@ def _run(name: str, instances, shard: bool = True) -> CheckReport:
             count = index + 1
             break
     return CheckReport(name, count, failures, tuple(examples), time.perf_counter() - start)
+
+
+def _pull(instances, n: int):
+    """The first ``n`` instances of the stream as a list, and the rest of
+    it; if pulling them raises, the rest raises that when read, so a scan
+    meets the exception at its index."""
+    instances, head = iter(instances), []
+    try:
+        for found in itertools.islice(instances, n):
+            head.append(found)
+    except Exception as exc:
+        instances = _raising(exc)
+    return head, instances
+
+
+def _raising(exc: Exception):
+    """A stream that raises ``exc`` at its first item."""
+    yield from ()
+    raise exc
 
 
 def _scan(instances, shard: int = 0, shards: int = 1):
@@ -635,12 +673,11 @@ def check_deformed_identity(universe: Universe | None = None, fault: bool = Fals
     universe = universe or Universe(3, 2)
     arrow = _faulty_arrow if fault else arrow_lambda
 
+    def associator(U, X, Y):
+        return arrow(arrow(U, X), Y) - LambdaPoly.monomial(Y.total_weight) * arrow(U, arrow(X, Y))
+
     def holds(U, T, S):
-        lam_s = LambdaPoly.monomial(S.total_weight)
-        lam_t = LambdaPoly.monomial(T.total_weight)
-        lhs = arrow(arrow(U, T), S) - lam_s * arrow(U, arrow(T, S))
-        rhs = arrow(arrow(U, S), T) - lam_t * arrow(U, arrow(S, T))
-        return lhs == rhs
+        return associator(U, T, S) == associator(U, S, T)
 
     def oracle_failures(U, T, S):
         # Parameter 1, all weights 1: the classical right pre-Lie identity,

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -835,12 +836,12 @@ def test_arrow_coefficients_sum_to_the_depth_closed_form(data):
     assert _coefficient_sum(arrow_lambda(T, S)) == _depth_sum(T, S.total_weight)
 
 
-def _random_slot(draw):
+def _random_slot(draw, terms=1000):
     """A random host S with a slot ``v`` of 0 to 5 branches, and a random T
-    of v's weight: |T|**k terms, at most 30 vertices in T, and about 1,000
-    terms."""
+    of v's weight: |T|**k terms, at most 30 vertices in T, and about
+    ``terms`` terms."""
     k = draw(st.integers(0, 5))
-    T = _random_tree(draw, "t", draw(st.integers(1, min(30, round(1000 ** (1 / k))) if k else 30)))
+    T = _random_tree(draw, "t", draw(st.integers(1, min(30, round(terms ** (1 / k))) if k else 30)))
     branches = [_random_tree(draw, f"b{i}x", draw(st.integers(1, 4))) for i in range(k)]
     v = WeightedTree("v", T.total_weight, tuple(branches))
     if draw(st.booleans()):
@@ -885,6 +886,53 @@ def test_compose_terms_carry_their_energy_above_the_root_map(data):
         assert combo.coefficient(term) == mono(exponent)
         terms.add(term)
     assert combo.support() == terms
+
+
+def _energy(parents, weights):
+    """The potential energy of the tree with these parent and weight maps:
+    every vertex adds its weight once per ancestor."""
+    total = 0
+    for lab, w in weights.items():
+        par = parents[lab]
+        while par is not None:
+            total += w
+            par = parents[par]
+    return total
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_arrow_terms_carry_their_energy_above_the_graft(data):
+    # Per term: one term per vertex u of T, the parent-map graft of S's root
+    # under u, with the coefficient exactly L**(E(t) - E(T) - E(S) - w(S)),
+    # every energy read off parent maps.
+    T = _random_tree(data.draw, "t", data.draw(st.integers(1, 30)))
+    S = _random_tree(data.draw, "s", data.draw(st.integers(1, 5)))
+    (tp, tw), (sp, sw) = _parent_map(T), _parent_map(S)
+    base = _energy(tp, tw) + _energy(sp, sw) + S.total_weight
+    weights = {**tw, **sw}
+    expected = {}
+    for u in tp:
+        parents = {**tp, **sp, S.label: u}
+        expected[_tree_of_parents(parents, weights)] = mono(_energy(parents, weights) - base)
+    combo = arrow_lambda(T, S)
+    assert len(combo) == T.size
+    assert combo == TreeCombination(expected)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_compose_specializes_to_powers_of_the_added_energy(data):
+    # At a rational parameter q outside {0, 1}, which the specializations
+    # check does not reach: each oracle term f with the coefficient
+    # q**(E(f) - E(S) - E(T)), every energy read off parent maps.
+    S, T = _random_slot(data.draw, 300)
+    q = data.draw(st.sampled_from([Fraction(-3), Fraction(-1), Fraction(1, 2), Fraction(2, 5)]))
+    base = _energy(*_parent_map(S)) + _energy(*_parent_map(T))
+    expected = TreeCombination(
+        (f, q ** (_energy(*_parent_map(f)) - base)) for f in oracle_compose_terms(S, "v", T)
+    )
+    assert compose_lambda(S, S.ref("v"), T).specialize(q) == expected
 
 
 # --- rejections -------------------------------------------------------------------

@@ -179,10 +179,11 @@ def test_a_stream_raising_before_the_stop_is_raised(monkeypatch, shards):
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("cpus, pulled", [(1, 100), (2, 0), (3, 0)])
+@pytest.mark.parametrize("cpus, pulled", [(1, 100), (2, 64), (3, 96)])
 def test_the_parent_pulls_no_instance_when_sharded(monkeypatch, cpus, pulled):
-    # Forked children walk their own copies of the stream, so the parent's
-    # count of the instances pulled stays 0.
+    # The parent pulls no instance past one chunk per CPU, which shows that
+    # the stream goes on past them; forked children walk their own copies
+    # of the rest.
     pulls = []
 
     def counted(stream):
@@ -194,6 +195,41 @@ def test_the_parent_pulls_no_instance_when_sharded(monkeypatch, cpus, pulled):
     report = verify._run("x", counted(synthetic({99: 1})))
     assert (report.instances, report.failure_count, len(pulls)) == (100, 1, pulled)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_stream_shorter_than_a_chunk_per_cpu_forks_nothing(monkeypatch, cpus):
+    monkeypatch.setattr(os, "fork", no_fork)
+    with_cpus(monkeypatch, cpus)
+    report = verify._run("x", synthetic({40: 2}, n=2 * verify._CHUNK - 1))
+    assert (report.instances, report.failure_count, report.counterexamples) == (63, 2, ("40.0", "40.1"))
+
+
+def outcome(stream):
+    """The report of ``_run`` over ``stream`` without its seconds, or the
+    message of the exception it raised."""
+    try:
+        return stripped(verify._run("x", stream))
+    except TreeError as exc:
+        return str(exc)
+
+
+# Raised among the instances the parent pulls before it would fork: after
+# the serial stop, which keeps the serial report, or before it.
+@pytest.mark.parametrize(
+    "at, expected",
+    [
+        (58, {"name": "x", "instances": 58, "failures": 26, "counterexamples": ["0.0", "3.0", "6.0"], "ok": False}),
+        (41, "stream raised at 41"),
+    ],
+)
+@pytest.mark.parametrize("shards", [2, 3])
+def test_a_stream_raising_while_the_parent_pulls_scans_in_process(monkeypatch, at, expected, shards):
+    monkeypatch.setattr(os, "fork", no_fork)
+    with_cpus(monkeypatch, 1)
+    assert outcome(stream_raising(SPREAD, at)) == expected
+    with_cpus(monkeypatch, shards)
+    assert outcome(stream_raising(SPREAD, at)) == expected
 
 
 @pytest.mark.parametrize(
