@@ -9,8 +9,8 @@ parameter to a concrete rational is always an explicit step.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .errors import ParseError, TreeError
 from .trees import WeightedTree

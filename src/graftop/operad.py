@@ -13,8 +13,8 @@ reattachment; setting it to 1 flattens all the coefficients to 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 
 from .algebra import TreeCombination, accumulate, monomial
 from .errors import TreeError
@@ -39,12 +39,11 @@ class UnitFamily:
 UNIT = UnitFamily()
 
 
-@dataclass(frozen=True)
-class GraftMap:
+class GraftMap(namedtuple("GraftMap", "targets")):
     """Assignment of the child edges of the substituted vertex to vertices
     of the inserted tree, aligned with the canonical edge order."""
 
-    targets: tuple[VertexRef, ...]
+    __slots__ = ()
 
     @classmethod
     def root_map(cls, S: WeightedTree, v: VertexRef, T: WeightedTree) -> "GraftMap":

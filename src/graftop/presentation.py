@@ -14,8 +14,7 @@ exactly T with coefficient 1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Union
+from operator import attrgetter
 
 from .algebra import Combination, LambdaPoly, TreeCombination
 from .errors import TreeError
@@ -28,56 +27,61 @@ _WORD = re.compile(_LABEL_CLASS + "*")
 
 
 class _Bracket:
-    """Equality, hashing and printing of bracket expressions, by ``encoding``."""
+    """Equality, hashing and printing of bracket expressions, by ``encoding``.
+    Every field is a read-only property over a slot that only ``__init__``
+    writes, so assigning to any attribute raises ``AttributeError``."""
+
+    __slots__ = ("_encoding", "_labels")
+
+    encoding = property(attrgetter("_encoding"))
+    labels = property(attrgetter("_labels"))
 
     def __eq__(self, other):
-        return isinstance(other, _Bracket) and self.encoding == other.encoding
+        return isinstance(other, _Bracket) and self._encoding == other._encoding
 
     def __hash__(self):
-        return hash(self.encoding)
+        return hash(self._encoding)
 
     def __repr__(self):
-        return f"<bracket {self.encoding}>"
+        return f"<bracket {self._encoding}>"
 
     def __str__(self):
-        return self.encoding
+        return self._encoding
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Generator(_Bracket):
     """A generator leaf: one label with one weight."""
 
-    label: str
-    weight: int
-    encoding: str = field(init=False)
-    labels: frozenset = field(init=False)
+    __slots__ = ("_label", "_weight")
 
-    def __post_init__(self):
-        if self.label == UNLABELED or not _is_label(self.label):
-            raise TreeError(f"invalid generator label {self.label!r}")
-        _check_weight(self.weight, "generator")
-        object.__setattr__(self, "encoding", f"{self.label}_{self.weight}")
-        object.__setattr__(self, "labels", frozenset((self.label,)))
+    label = property(attrgetter("_label"))
+    weight = property(attrgetter("_weight"))
+
+    def __init__(self, label: str, weight: int):
+        if label == UNLABELED or not _is_label(label):
+            raise TreeError(f"invalid generator label {label!r}")
+        _check_weight(weight, "generator")
+        self._label, self._weight = label, weight
+        self._encoding, self._labels = f"{label}_{weight}", frozenset((label,))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Pair(_Bracket):
     """An ordered binary product of two bracket expressions."""
 
-    left: "BracketExpr"
-    right: "BracketExpr"
-    encoding: str = field(init=False)
-    labels: frozenset = field(init=False)
+    __slots__ = ("_left", "_right")
 
-    def __post_init__(self):
-        clash = self.left.labels & self.right.labels
+    left = property(attrgetter("_left"))
+    right = property(attrgetter("_right"))
+
+    def __init__(self, left: BracketExpr, right: BracketExpr):
+        clash = left.labels & right.labels
         if clash:
             raise TreeError(f"repeated generator labels {sorted(clash)} in one expression")
-        object.__setattr__(self, "encoding", f"({self.left.encoding} {self.right.encoding})")
-        object.__setattr__(self, "labels", self.left.labels | self.right.labels)
+        self._left, self._right = left, right
+        self._encoding, self._labels = f"({left.encoding} {right.encoding})", left.labels | right.labels
 
 
-BracketExpr = Union[Generator, Pair]
+BracketExpr = Generator | Pair
 
 
 class BracketCombination(Combination):

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from operator import attrgetter
-from typing import Mapping, Sequence
 
 from .errors import ParseError, TreeError
 
@@ -273,12 +273,10 @@ class VertexRef:
         return len(self._path)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(namedtuple("Edge", "child parent")):
     """Tree edge oriented child -> parent; identified with its child branch."""
 
-    child: VertexRef
-    parent: VertexRef
+    __slots__ = ()
 
     @property
     def branch(self) -> WeightedTree:

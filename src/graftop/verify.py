@@ -17,11 +17,10 @@ import os
 import random
 import threading
 import time
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .algebra import LambdaPoly, TreeCombination, monomial
 from .errors import TreeError
@@ -53,13 +52,11 @@ _EXAMPLE_CAP = 3
 _FAILURE_SCAN_CAP = 25
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(namedtuple("Universe", "n_max w_max")):
     """Bounded tree universe: every tree with at most n_max vertices and
     vertex weights in 1..w_max."""
 
-    n_max: int
-    w_max: int
+    __slots__ = ()
 
     @lru_cache(maxsize=None)
     def trees(self, prefix: str = "a") -> tuple[WeightedTree, ...]:
@@ -101,15 +98,10 @@ DEFAULT_TRIPLE_UNIVERSE = Universe(3, 3)
 DEFAULT_PAIR_UNIVERSE = Universe(4, 2)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "name instances failure_count counterexamples seconds")):
     """Outcome of one check: instance count, failures, wall time."""
 
-    name: str
-    instances: int
-    failure_count: int
-    counterexamples: tuple[str, ...]
-    seconds: float
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -510,6 +510,23 @@ def test_shrinker_minimizes_to_boundary():
     assert all(v.node.weight == 1 for t in small for v in t.vertices())
 
 
+def test_shrinker_skips_reductions_that_raise_tree_error():
+    # a root of weight 1 is rejected; the shrinker passes over that
+    # reduction and still lowers b's weight after it
+    rejected = []
+
+    def fails(trees):
+        (t,) = trees
+        if t.weight == 1:
+            rejected.append(t.encoding)
+            raise TreeError("root weight 1")
+        return t.size >= 2
+
+    small = shrink_instance((parse_tree("a:2[b:2[c:1]]"),), fails)
+    assert small == (parse_tree("a:2[b:1]"),)
+    assert rejected == ["a:1[b:2]", "a:1[b:1]"]
+
+
 def test_report_json_schema():
     report = check_unit_laws(SMALL)
     payload = json.loads(reports_to_json([report]))
