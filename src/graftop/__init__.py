@@ -1,7 +1,8 @@
 """Exact symbolic calculus for weighted rooted trees: graded compositions
 with a formal deformation parameter, grafting products, classical
 specializations, and the bracket presentation with its evaluation and
-rewriting maps."""
+rewriting maps.  ``CheckReport``, ``Universe`` and ``run_suite`` load
+``graftop.verify`` on first use, so importing the package does not."""
 
 from .algebra import (
     LAMBDA,
@@ -72,6 +73,13 @@ from .trees import (
     strip_labels,
     weight,
 )
-from .verify import CheckReport, Universe, run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in ("CheckReport", "Universe", "run_suite"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+    globals()[name] = value = getattr(verify, name)
+    return value

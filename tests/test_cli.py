@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import graftop
-from graftop import enumerate_labeled_trees
-from graftop.cli import main
+from graftop import enumerate_labeled_trees, verify
+from graftop.cli import SUITE_CHOICES, main
 
 
 def run(capsys, *argv):
@@ -180,6 +180,11 @@ def test_check_rejects_negative_nmax(capsys):
     code, err = rejected(capsys, "check", "--suite", "iso", "--nmax", "-1")
     assert code == 2
     assert "--nmax" in err and "must be >= 1" in err
+
+
+def test_suite_choices_are_all_then_the_verify_suites_in_order():
+    # cli.py spells the names out so that only ``check`` loads verify
+    assert SUITE_CHOICES == ("all", *verify.SUITES)
 
 
 def test_check_with_zero_instances_fails(capsys):

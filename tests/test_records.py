@@ -41,7 +41,9 @@ RECORDS = [
 def test_records_print_compare_and_hash_by_value(record, text, other):
     assert repr(record) == text
     # a tree prints as WeightedTree('<text>'), which parse_tree reads back
-    twin = eval(text, {**vars(graftop), "WeightedTree": parse_tree})
+    # read through graftop, whose vars hold the verify names only once they are first read
+    names = {name: getattr(graftop, name) for name in ("Universe", "CheckReport", "GraftMap", "Edge", "VertexRef")}
+    twin = eval(text, {**names, "WeightedTree": parse_tree})
     assert twin == record and hash(twin) == hash(record) and twin is not record
     assert record != other and len({record, twin, other}) == 2
     assert pickle.loads(pickle.dumps(record)) == record
@@ -89,14 +91,60 @@ def test_brackets_keep_their_errors_and_their_union_type():
     assert pickle.loads(pickle.dumps(p)) == p and pickle.loads(pickle.dumps(p)).left == p.left
 
 
-def test_importing_graftop_loads_neither_dataclasses_nor_typing():
-    # -S keeps site's own imports out, so only graftop's show.
+def fresh_python(code):
+    """Stdout of ``code`` run by ``python -S`` (site's own imports kept out,
+    so only graftop's show) with this checkout's graftop first on the path."""
     src = str(Path(graftop.__file__).resolve().parents[1])
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import graftop, graftop.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-S", "-c", f"import sys; sys.path.insert(0, sys.argv[1])\n{code}", src],
+        capture_output=True, text=True, timeout=60, check=True,
     )
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_importing_graftop_loads_neither_dataclasses_nor_typing():
+    code = "import graftop, graftop.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    assert fresh_python(code) == "[]\n"
+
+
+def test_only_the_check_command_loads_verify():
+    code = """
+import contextlib, io, graftop, graftop.cli
+seen = ["graftop.verify" in sys.modules]
+for argv in (
+    ["compose", "-S", "r:1[v:2[b:1]]", "-v", "v", "-T", "x:1[y:1]"],
+    ["check", "--suite", "iso", "--nmax", "2", "--wmax", "1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        seen += [graftop.cli.main(argv), "graftop.verify" in sys.modules]
+    print(out.getvalue().splitlines()[0].split(" (")[0])
+print(seen)
+"""
+    assert fresh_python(code).splitlines() == [
+        "1 * r:1[x:1[b:1,y:1]] + L * r:1[x:1[y:1[b:1]]]",
+        "ok   bracket-roundtrip: 3 instances, 0 failures",
+        "[False, 0, False, 0, True]",
+    ]
+
+
+def test_the_verify_names_load_on_first_use():
+    code = """
+import graftop
+print(sorted({"CheckReport", "Universe", "run_suite", "verify"} & set(vars(graftop))))
+from graftop import run_suite
+import graftop.verify as verify
+print(graftop.Universe is verify.Universe, graftop.CheckReport is verify.CheckReport, run_suite is verify.run_suite)
+print(sorted({"CheckReport", "Universe", "run_suite"} & set(vars(graftop))))
+try:
+    getattr(graftop, "no_such_name")
+except AttributeError as exc:
+    print(exc)
+print(hasattr(graftop, "no_such_name"))
+"""
+    assert fresh_python(code).splitlines() == [
+        "[]",
+        "True True True",
+        "['CheckReport', 'Universe', 'run_suite']",
+        "module 'graftop' has no attribute 'no_such_name'",
+        "False",
+    ]
